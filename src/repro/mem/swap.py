@@ -19,6 +19,7 @@ import heapq
 from typing import Dict, List
 
 from repro.errors import SwapError
+from repro.mem.bytesearch import find_all_sparse
 from repro.mem.physmem import PAGE_SIZE
 
 
@@ -38,6 +39,9 @@ class SwapDevice:
         self._free_heap: List[int] = list(range(num_slots))
         self.swap_outs = 0
         self.swap_ins = 0
+        #: End of the highest byte ever written; the store past it has
+        #: never been touched and is all zero.
+        self._written_end = 0
         #: Fault injector (``repro.faults``); arms the swap-full,
         #: torn-write and read-error sites.
         self.faults = None
@@ -74,10 +78,12 @@ class SwapDevice:
             # partial stale copy — the worst case for disk forensics.
             half = self.page_size // 2
             self._store[base : base + half] = content[:half]
+            self._written_end = max(self._written_end, base + half)
             self._used[slot] = True
             self.swap_outs += 1
             raise SwapError(f"injected torn write on swap slot {slot}")
         self._store[base : base + self.page_size] = content
+        self._written_end = max(self._written_end, base + self.page_size)
         self._used[slot] = True
         self.swap_outs += 1
         return slot
@@ -158,16 +164,14 @@ class SwapDevice:
         return self.num_slots - len(self.used_slots())
 
     def find_pattern(self, pattern: bytes) -> List[int]:
-        """Byte offsets of ``pattern`` anywhere in the swap area
-        (including slots already released but never scrubbed)."""
-        if not pattern:
-            raise ValueError("empty search pattern")
-        hits: List[int] = []
-        pos = self._store.find(pattern)
-        while pos != -1:
-            hits.append(pos)
-            pos = self._store.find(pattern, pos + 1)
-        return hits
+        """Overlapping byte offsets of ``pattern`` anywhere in the swap
+        area (including slots already released but never scrubbed).
+
+        Only the written extent is searched: every byte past it is zero,
+        so no match can place a nonzero needle byte there, and an
+        all-zero needle still gets a full pass from
+        :func:`~repro.mem.bytesearch.find_all_sparse`."""
+        return find_all_sparse(self._store, pattern, [(0, self._written_end)])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SwapDevice(slots={self.num_slots}, used={len(self.used_slots())})"

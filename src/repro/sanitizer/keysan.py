@@ -233,10 +233,12 @@ class KeySan:
             open_here = self._open_by_page.get(page)
             if not tainted and not open_here:
                 continue
-            present: Set[int] = set()
-            if tainted:
-                for run in self.shadow.runs_in(base, page_size):
-                    present.add(run.tag_id)
+            # Added one by one in first-appearance order: ``set(dict)``
+            # presizes the table and could reorder the scrubs below.
+            present: Set[int] = (
+                {tag_id for tag_id in self.shadow.tag_counts(base, page_size)}
+                if tainted else set()
+            )
             if open_here is not None:
                 for tag_id in tuple(open_here - present):
                     self.note_scrub(tag_id, page)
@@ -544,12 +546,12 @@ class KeySan:
         census: Dict[str, Dict[str, int]] = {}
         for start, length in self.shadow.iter_tainted_chunks(page_size):
             region = self._region_of(start // page_size)
-            for run in self.shadow.runs_in(start, length):
-                tag = self.tags.get(run.tag_id)
+            for tag_id, count in self.shadow.tag_counts(start, length).items():
+                tag = self.tags.get(tag_id)
                 if tag is None or not tag.name.startswith(prefix):
                     continue
                 per_region = census.setdefault(region, {})
-                per_region[tag.name] = per_region.get(tag.name, 0) + run.length
+                per_region[tag.name] = per_region.get(tag.name, 0) + count
         return census
 
     def _region_of(self, frame: int) -> str:
@@ -600,12 +602,11 @@ class KeySan:
         # Per-tag and per-region byte census over tainted chunks only.
         for start, length in self.shadow.iter_tainted_chunks(page_size):
             region = self._region_of(start // page_size)
-            for run in self.shadow.runs_in(start, length):
-                tag = self.tags.get(run.tag_id)
-                name = tag.name if tag is not None else f"tag#{run.tag_id}"
-                report.by_tag[name] = report.by_tag.get(name, 0) + run.length
+            for tag_id, count in self.shadow.tag_counts(start, length).items():
+                name = _tag_name(tag_id)
+                report.by_tag[name] = report.by_tag.get(name, 0) + count
                 report.by_region[region] = (
-                    report.by_region.get(region, 0) + run.length
+                    report.by_region.get(region, 0) + count
                 )
 
         # Page-cache residue: tainted file pages still resident.  Only
@@ -663,13 +664,15 @@ class KeySan:
                     )
                 )
             # Swap-device census (the scanner cannot see the device).
-            swap_image = self.kernel.swap.raw_dump()
+            # Non-overlapping like the RAM census: a hit counts when it
+            # starts at or past the end of the previous counted hit.
             for name, pattern in patterns.items():
                 count = 0
-                pos = swap_image.find(pattern)
-                while pos != -1:
-                    count += 1
-                    pos = swap_image.find(pattern, pos + len(pattern))
+                next_free = 0
+                for pos in self.kernel.swap.find_pattern(pattern):
+                    if pos >= next_free:
+                        count += 1
+                        next_free = pos + len(pattern)
                 if count:
                     report.swap_hits[name] = count
 

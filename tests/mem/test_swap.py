@@ -1,8 +1,11 @@
 """Swap device tests, including the disclosure surface."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SwapError
+from repro.faults import FaultInjector, FaultPlan
 from repro.mem.physmem import PAGE_SIZE
 from repro.mem.swap import SwapDevice
 
@@ -240,3 +243,90 @@ class TestCheckConsistency:
         swap._free_heap.remove(3)
         with pytest.raises(SwapError, match="leaked slots: \\[3\\]"):
             swap.check_consistency()
+
+
+# ----------------------------------------------------------------------
+# find_pattern searches only the written extent; it must stay exact
+# ----------------------------------------------------------------------
+_SMALL_PAGE = 64
+_SLOTS = 8
+#: A three-letter alphabet with zero in it, so needles hit often and
+#: straddle clean/dirty boundaries.
+_BYTES = st.sampled_from(b"\x00\x01\x02")
+
+_SWAP_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("out"), st.lists(_BYTES, min_size=_SMALL_PAGE,
+                                           max_size=_SMALL_PAGE)),
+        st.tuples(st.just("in"), st.integers(0, _SLOTS - 1), st.booleans()),
+        st.tuples(st.just("scrub"), st.integers(0, _SLOTS - 1)),
+    ),
+    max_size=20,
+)
+
+
+def _brute_force(dump, needle):
+    hits = []
+    pos = dump.find(needle)
+    while pos != -1:
+        hits.append(pos)
+        pos = dump.find(needle, pos + 1)
+    return hits
+
+
+def _drive(ops, torn):
+    """Replay ``ops``; ``swap.torn`` fires on the swap-outs in ``torn``."""
+    swap = SwapDevice(num_slots=_SLOTS, page_size=_SMALL_PAGE)
+    swap.faults = FaultInjector(FaultPlan({"swap.torn": sorted(torn)}))
+    for op in ops:
+        try:
+            if op[0] == "out":
+                swap.swap_out(bytes(op[1]))
+            elif op[0] == "in":
+                used = swap.used_slots()
+                if used:
+                    swap.swap_in(used[op[1] % len(used)], free_slot=op[2])
+            else:
+                swap.scrub_slot(op[1])
+        except SwapError:
+            pass  # device full or an injected torn write
+    return swap
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    ops=_SWAP_OPS,
+    torn=st.sets(st.integers(0, 20), max_size=4),
+    needles=st.lists(st.lists(_BYTES, min_size=1, max_size=8), max_size=4),
+    straddle=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+)
+def test_find_pattern_matches_brute_force(ops, torn, needles, straddle):
+    swap = _drive(ops, torn)
+    dump = swap.raw_dump()
+    before, after = straddle
+    end = swap._written_end
+    candidates = [bytes(needle) for needle in needles]
+    candidates.append(dump[max(0, end - before) : end + after])  # straddles
+    candidates.append(b"\x00" * after)                          # all zero
+    for needle in candidates:
+        if needle:
+            assert swap.find_pattern(needle) == _brute_force(dump, needle)
+
+
+def test_find_pattern_on_never_written_device():
+    swap = SwapDevice(num_slots=_SLOTS, page_size=_SMALL_PAGE)
+    assert swap.find_pattern(b"\x01") == []
+    assert swap.find_pattern(b"\x00\x01") == []
+    zeros = b"\x00" * 3
+    assert swap.find_pattern(zeros) == _brute_force(swap.raw_dump(), zeros)
+
+
+def test_torn_write_extends_the_searched_extent():
+    swap = SwapDevice(num_slots=_SLOTS, page_size=_SMALL_PAGE)
+    swap.faults = FaultInjector(FaultPlan({"swap.torn": [1]}))
+    swap.swap_out(b"\x01" * _SMALL_PAGE)
+    with pytest.raises(SwapError):
+        swap.swap_out(b"\x02" * _SMALL_PAGE)
+    # Only the torn half of slot 1 landed; its last byte is found.
+    half = _SMALL_PAGE // 2
+    assert swap.find_pattern(b"\x02\x00") == [_SMALL_PAGE + half - 1]

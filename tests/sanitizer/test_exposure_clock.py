@@ -99,6 +99,24 @@ class TestWindows:
         assert len(report.open_exposures) == 2
         assert len({w.page for w in report.open_exposures}) == 2
 
+    def test_two_secrets_on_one_page_close_independently(self):
+        _, sanitizer, process, vma = make_machine()
+        other = bytes(random.Random(0xCAFE).randrange(1, 256) for _ in range(64))
+        sanitizer.register_secret("j", other)
+        process.mm.write(vma.start, SECRET)
+        process.mm.write(vma.start + 1024, other)
+        report = sanitizer.report()
+        assert sorted(w.tag for w in report.open_exposures) == ["j", "k"]
+        assert len({w.page for w in report.open_exposures}) == 1
+        # Overwrite only "k": its window closes, "j"'s stays open.
+        process.mm.write(vma.start, b"\x00" * len(SECRET))
+        report = sanitizer.report()
+        (closed,) = report.exposure_windows
+        assert closed.tag == "k" and closed.closed
+        (still_open,) = report.open_exposures
+        assert still_open.tag == "j" and not still_open.closed
+        assert still_open.page == closed.page
+
     def test_histogram_groups_by_tag(self):
         _, sanitizer, process, vma = make_machine()
         process.mm.write(vma.start, SECRET)

@@ -1,8 +1,10 @@
 """Unit tests for the byte-granular shadow map."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sanitizer.shadow import ShadowMap, TaintRun
+from repro.sanitizer.shadow import MAX_TAG_ID, ShadowMap, TaintRun
 
 
 def test_fresh_map_is_clean():
@@ -76,3 +78,69 @@ def test_bounds_and_id_validation():
         ShadowMap(0)
     with pytest.raises(ValueError):
         list(shadow.iter_tainted_chunks(0))
+
+
+# ----------------------------------------------------------------------
+# tag_counts: the run-free census primitive
+# ----------------------------------------------------------------------
+#: Four 256-byte pages, so ranges cross page boundaries.
+_PAGE = 256
+_SIZE = 4 * _PAGE
+
+_addr = st.integers(0, _SIZE - 1)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("set"), _addr, st.integers(0, 600),
+                  st.integers(1, MAX_TAG_ID), st.integers(0, 3)),
+        st.tuples(st.just("clear"), _addr, st.integers(0, 600)),
+        st.tuples(st.just("copy"), _addr, _addr, st.integers(0, 600)),
+    ),
+    max_size=25,
+)
+
+
+def _apply(shadow, op):
+    if op[0] == "set":
+        _, addr, length, tag, origin = op
+        shadow.set_range(addr, min(length, _SIZE - addr), tag, origin)
+    elif op[0] == "clear":
+        _, addr, length = op
+        shadow.clear_range(addr, min(length, _SIZE - addr))
+    else:
+        _, src, dst, length = op
+        shadow.copy_range(src, dst, min(length, _SIZE - max(src, dst)))
+
+
+def _counts_from_runs(shadow, addr, length):
+    counts = {}
+    for run in shadow.runs_in(addr, length):
+        counts[run.tag_id] = counts.get(run.tag_id, 0) + run.length
+    return counts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ops=_OPS, addr=_addr, length=st.integers(0, _SIZE))
+def test_tag_counts_equals_run_lengths_per_tag(ops, addr, length):
+    shadow = ShadowMap(_SIZE)
+    for op in ops:
+        _apply(shadow, op)
+    length = min(length, _SIZE - addr)
+    expected = _counts_from_runs(shadow, addr, length)
+    counts = shadow.tag_counts(addr, length)
+    assert counts == expected
+    # Keyed in first-appearance order, the order runs_in meets the tags.
+    assert list(counts) == list(expected)
+    assert sum(counts.values()) == shadow.count_in(addr, length)
+
+
+def test_tag_counts_edges():
+    shadow = ShadowMap(_SIZE)
+    assert shadow.tag_counts(0, _SIZE) == {}
+    shadow.set_range(_PAGE - 3, 6, tag_id=MAX_TAG_ID, origin_id=1)
+    shadow.set_range(_PAGE + 3, 2, tag_id=1, origin_id=2)
+    assert shadow.tag_counts(10, 0) == {}          # empty range
+    assert shadow.tag_counts(_PAGE - 3, 0) == {}   # empty, on taint
+    assert shadow.tag_counts(0, _PAGE) == {MAX_TAG_ID: 3}
+    assert shadow.tag_counts(0, _SIZE) == {MAX_TAG_ID: 6, 1: 2}
+    with pytest.raises(ValueError):
+        shadow.tag_counts(_SIZE - 1, 2)
