@@ -1,10 +1,10 @@
 """Cached deterministic RSA key corpus for sweep workloads.
 
-Profiling a quick n_tty sweep showed ~34% of every run's wall clock
-going to Miller–Rabin key generation — and the sweep engine boots a
-*fresh* machine per :class:`~repro.analysis.parallel.RunSpec`, so the
-same ``(key_bits, seed)`` key was being reground on every repetition
-of every cell.
+Miller–Rabin key generation is ~37% of a traced ``sweep-mitigation``
+pass (1024-bit keys, 2-core host) even with the gcd sieve in
+:mod:`repro.crypto.primes` — and the sweep engine boots a *fresh*
+machine per :class:`~repro.analysis.parallel.RunSpec`, so the same
+``(key_bits, seed)`` key was reground on every repetition of a cell.
 
 The corpus exploits a determinism guarantee the simulation already
 provides: :class:`~repro.crypto.randsrc.DeterministicRandom`'s

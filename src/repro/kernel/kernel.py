@@ -128,7 +128,7 @@ class Kernel:
         self.buddy = BuddyAllocator(
             self.physmem,
             reserved_frames=self.config.reserved_frames,
-            on_page_clear=lambda pages: self.clock.charge_page_clear(pages),
+            on_page_clear=self.clock.charge_page_clear,
             placement_rng=_random.Random(self.config.placement_seed),
         )
         self.buddy.clear_on_free = self.config.zero_on_free
@@ -421,14 +421,11 @@ class Kernel:
         if not 0.0 <= hold_fraction < 1.0 or not 0.0 < churn_fraction <= 1.0:
             raise ValueError("fractions out of range")
         budget = int(self.buddy.free_frames() * churn_fraction)
-        frames = [
-            self.buddy.alloc_pages(0, PageFlag.KERNEL_BUFFER) for _ in range(budget)
-        ]
+        frames = self.buddy.alloc_many(budget, PageFlag.KERNEL_BUFFER)
         rng.shuffle(frames)
         hold_count = int(budget * hold_fraction)
         self._aged_holders = frames[:hold_count]
-        for frame in frames[hold_count:]:
-            self.buddy.free_pages(frame)
+        self.buddy.free_many(frames[hold_count:])
         return hold_count
 
     # ------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Set
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.errors import AllocatorStateError, OutOfMemoryError
 from repro.mem.page import Page, PageFlag
@@ -37,6 +37,66 @@ MAX_ORDER = 10
 #: buddy lists and are *not* immediately reused while memory is
 #: plentiful — which is why stale key copies linger in free memory.
 HOT_LIST_CAPACITY = 8
+
+#: Target chunk length of :class:`ChunkedFreeList`.
+FREE_LIST_CHUNK = 128
+
+
+class ChunkedFreeList:
+    """One free list as short chunks, with an index from frame to chunk.
+
+    :meth:`BuddyAllocator.free_many` puts one in place of each free list
+    for the batch: the same sequence under insert, remove and pop, but
+    ``remove`` scans one chunk, not a list thousands of frames long.
+    """
+
+    __slots__ = ("_chunks", "_where")
+
+    def __init__(self, items: List[int]) -> None:
+        self._chunks = [
+            items[i : i + FREE_LIST_CHUNK] for i in range(0, len(items), FREE_LIST_CHUNK)
+        ]
+        self._where = {item: chunk for chunk in self._chunks for item in chunk}
+
+    def __len__(self) -> int:
+        return len(self._where)
+
+    def __iter__(self) -> Iterator[int]:
+        for chunk in self._chunks:
+            yield from chunk
+
+    def insert(self, index: int, item: int) -> None:
+        """Insert before position ``index`` (0 <= index <= len)."""
+        chunks = self._chunks
+        if not chunks:
+            chunks.append([])
+        for pos, chunk in enumerate(chunks):
+            size = len(chunk)
+            if index <= size:
+                break
+            index -= size
+        chunk.insert(index, item)
+        self._where[item] = chunk
+        if len(chunk) > 2 * FREE_LIST_CHUNK:
+            tail = chunk[FREE_LIST_CHUNK:]
+            del chunk[FREE_LIST_CHUNK:]
+            chunks.insert(pos + 1, tail)
+            for moved in tail:
+                self._where[moved] = tail
+
+    def remove(self, item: int) -> None:
+        chunk = self._where.pop(item)
+        chunk.remove(item)
+        if not chunk:
+            self._chunks = [c for c in self._chunks if c is not chunk]
+
+    def pop(self) -> int:
+        chunk = self._chunks[-1]
+        item = chunk.pop()
+        if not chunk:
+            self._chunks.pop()
+        del self._where[item]
+        return item
 
 
 class BuddyAllocator:
@@ -111,27 +171,10 @@ class BuddyAllocator:
     # ------------------------------------------------------------------
     # free-list plumbing
     # ------------------------------------------------------------------
-    def _insert_free(self, frame: int, order: int, front: bool = False) -> None:
-        """Add a block to its free list.
-
-        ``front=True`` is used for frees: allocation pops from the
-        *end* of the list, so front-inserted (recently freed) blocks
-        are reused last, exactly the plenty-of-memory behaviour that
-        lets stale data survive in the free pool.
-        """
-        free_list = self._free_lists[order]
-        if front:
-            if self.placement_rng is not None and free_list:
-                free_list.insert(self.placement_rng.randrange(len(free_list) + 1), frame)
-            else:
-                free_list.insert(0, frame)
-        else:
-            free_list.append(frame)
+    def _insert_free(self, frame: int, order: int) -> None:
+        """Append a block to its free list (boot carving and splits)."""
+        self._free_lists[order].append(frame)
         self._free_heads[frame] = order
-
-    def _remove_free(self, frame: int, order: int) -> None:
-        self._free_lists[order].remove(frame)
-        del self._free_heads[frame]
 
     def _pop_free(self, order: int) -> int:
         frame = self._free_lists[order].pop()
@@ -202,6 +245,44 @@ class BuddyAllocator:
         self._alloc_orders[head] = order
         self.alloc_count += 1
 
+    def alloc_many(self, count: int, flags: PageFlag = PageFlag.NONE) -> List[int]:
+        """Allocate ``count`` order-0 frames, exactly as ``count`` calls
+        to ``alloc_pages(0, flags)`` would: same frames, same state.
+
+        With the hot list empty, those calls split the last block of the
+        smallest non-empty order and hand it out front to back, so a
+        whole block goes out here in one step; a partly used one leaves
+        the aligned blocks covering its rest, as the splits would.  The
+        hot list, an armed fault injector and exhaustion still go
+        through :meth:`alloc_pages` one frame at a time.
+        """
+        frames: List[int] = []
+        lists = self._free_lists
+        pages = self.pages
+        alloc_orders = self._alloc_orders
+        while len(frames) < count:
+            order = next((o for o, heads in lists.items() if heads), None)
+            if self._hot or self.faults is not None or order is None:
+                frames.append(self.alloc_pages(0, flags))
+                continue
+            head = self._pop_free(order)
+            end = head + min(1 << order, count - len(frames))
+            for frame in range(head, end):
+                page = pages[frame]
+                if page.count != 0:
+                    raise AllocatorStateError(f"allocating in-use frame {frame}")
+                page.count = 1
+                page.flags = flags
+                alloc_orders[frame] = 0
+            self.alloc_count += end - head
+            frames.extend(range(head, end))
+            block_end = head + (1 << order)
+            while end < block_end:
+                rest = (end & -end).bit_length() - 1
+                self._insert_free(end, rest)
+                end += 1 << rest
+        return frames
+
     # ------------------------------------------------------------------
     # freeing
     # ------------------------------------------------------------------
@@ -219,49 +300,70 @@ class BuddyAllocator:
             raise AllocatorStateError(
                 f"free order {order} does not match allocation order {recorded}"
             )
-        order = recorded
-        size = 1 << order
-        for frame in range(head, head + size):
-            page = self.pages[frame]
-            if page.count != 1:
-                raise AllocatorStateError(
-                    f"freeing frame {frame} with refcount {page.count}"
-                )
-            page.count = 0
-            page.reset_state()
-        del self._alloc_orders[head]
-        self.free_count += 1
+        self._free_blocks((head,), recorded)
 
-        if self.clear_on_free:
-            for frame in range(head, head + size):
-                self._clear_frame(frame)
+    def free_many(self, frames: Iterable[int]) -> None:
+        """Free order-0 frames in turn, exactly as :meth:`free_pages`
+        would: same hook calls, ``placement_rng`` draws and free lists.
 
-        # The hook is observational (KeySan scrub check, exit reaping);
-        # the block must reach the free lists even if it raises, or a
-        # second fault during an exit unwind would orphan the frames —
-        # neither allocated nor free, lost until reboot.
+        During the batch the free lists are :class:`ChunkedFreeList`
+        objects, so coalescing does not scan whole lists; they are plain
+        lists again when it returns or raises.
+        """
+        self._free_lists = {o: ChunkedFreeList(h) for o, h in self._free_lists.items()}
         try:
-            if self.on_free is not None:
-                self.on_free(head, order, self.clear_on_free)
+            self._free_blocks(frames, 0)
         finally:
-            if order == 0:
-                self._free_hot(head)
-            else:
-                self._merge_and_insert(head, order)
+            self._free_lists = {o: list(h) for o, h in self._free_lists.items()}
 
-    def _clear_frame(self, frame: int) -> None:
-        self.physmem.clear_frame(frame)
-        self.cleared_frames += 1
-        if self.on_page_clear is not None:
-            self.on_page_clear(1)
+    def _free_blocks(self, heads: Iterable[int], order: int) -> None:
+        """Free allocated blocks of one order, one after another."""
+        pages = self.pages
+        alloc_orders = self._alloc_orders
+        physmem = self.physmem
+        hot = self._hot
+        hot_set = self._hot_set
+        size = 1 << order
+        for head in heads:
+            if alloc_orders.get(head) != order:
+                raise AllocatorStateError(f"frame {head} is not an order-{order} block")
+            for frame in range(head, head + size):
+                page = pages[frame]
+                if page.count != 1:
+                    raise AllocatorStateError(
+                        f"freeing frame {frame} with refcount {page.count}"
+                    )
+                page.count = 0
+                page.reset_state()
+            del alloc_orders[head]
+            self.free_count += 1
 
-    def _free_hot(self, frame: int) -> None:
-        self._hot.append(frame)
-        self._hot_set.add(frame)
-        while len(self._hot) > HOT_LIST_CAPACITY:
-            cold = self._hot.popleft()
-            self._hot_set.discard(cold)
-            self._merge_and_insert(cold, 0)
+            cleared = self.clear_on_free
+            if cleared:
+                for frame in range(head, head + size):
+                    physmem.clear_frame(frame)
+                    self.cleared_frames += 1
+                    if self.on_page_clear is not None:
+                        self.on_page_clear(1)
+
+            # The hook is observational (KeySan scrub check, exit
+            # reaping); the block must reach the free lists even if it
+            # raises, or a second fault during an exit unwind would
+            # orphan the frames — neither allocated nor free, lost
+            # until reboot.
+            try:
+                if self.on_free is not None:
+                    self.on_free(head, order, cleared)
+            finally:
+                if order:
+                    self._merge_and_insert(head, order)
+                else:
+                    hot.append(head)
+                    hot_set.add(head)
+                    while len(hot) > HOT_LIST_CAPACITY:
+                        cold = hot.popleft()
+                        hot_set.discard(cold)
+                        self._merge_and_insert(cold, 0)
 
     def _drain_hot(self) -> None:
         while self._hot:
@@ -269,15 +371,32 @@ class BuddyAllocator:
             self._hot_set.discard(frame)
             self._merge_and_insert(frame, 0)
 
-    def _merge_and_insert(self, head: int, order: int, front: bool = True) -> None:
+    def _merge_and_insert(self, head: int, order: int) -> None:
+        """Coalesce a freed block with free buddies, then put it on its list.
+
+        Allocation pops from the *end* of a list, so a freed block goes
+        in at the front (or, with ``placement_rng``, anywhere) and is
+        reused late: the plenty-of-memory behaviour that lets stale data
+        survive in the free pool.
+        """
+        free_lists = self._free_lists
+        free_heads = self._free_heads
+        hot_set = self._hot_set
         while order < self.max_order:
             buddy = head ^ (1 << order)
-            if self._free_heads.get(buddy) != order or buddy in self._hot_set:
+            if free_heads.get(buddy) != order or buddy in hot_set:
                 break
-            self._remove_free(buddy, order)
+            free_lists[order].remove(buddy)
+            del free_heads[buddy]
             head = min(head, buddy)
             order += 1
-        self._insert_free(head, order, front=front)
+        free_list = free_lists[order]
+        length = len(free_list)
+        if self.placement_rng is not None and length:
+            free_list.insert(self.placement_rng.randrange(length + 1), head)
+        else:
+            free_list.insert(0, head)
+        free_heads[head] = order
 
     # ------------------------------------------------------------------
     # refcount interface used by COW / page cache

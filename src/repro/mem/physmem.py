@@ -45,6 +45,7 @@ class PhysicalMemory:
         self.num_frames = num_frames
         self.size = num_frames * page_size
         self._data = bytearray(self.size)
+        self._zero_page = bytes(page_size)
         #: Per-frame modification counters.  Every mutator below bumps
         #: the counter of each frame it touches; incremental consumers
         #: (the scanner's cached re-scan path) compare them against a
@@ -145,7 +146,9 @@ class PhysicalMemory:
     def clear_frame(self, frame: int) -> None:
         """Zero one frame — the simulated ``clear_highpage()``."""
         base = self.frame_base(frame)
-        self._data[base : base + self.page_size] = b"\x00" * self.page_size
+        # A frame no mutator has touched since boot is still all zero.
+        if self._frame_gen[frame]:
+            self._data[base : base + self.page_size] = self._zero_page
         self._frame_gen[frame] += 1
         if self.sanitizer is not None:
             self.sanitizer.on_clear_frame(frame)

@@ -1,6 +1,8 @@
 """Kernel facade, clock, tty vulnerability and syscall-layer tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.randsrc import DeterministicRandom
 from repro.errors import AttackError
@@ -9,6 +11,7 @@ from repro.kernel.fs import SimFileSystem
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.kernel.syscalls import SyscallInterface
 from repro.kernel.vfs import O_RDONLY
+from repro.mem.page import PageFlag
 
 
 class TestClock:
@@ -116,8 +119,88 @@ class TestAgeMemory:
 
     def test_bad_fractions(self):
         kern = Kernel(KernelConfig.vulnerable(memory_mb=4))
-        with pytest.raises(ValueError):
-            kern.age_memory(DeterministicRandom(5), hold_fraction=1.5)
+        for fractions in (
+            {"hold_fraction": 1.5},
+            {"hold_fraction": -0.1},
+            {"churn_fraction": 0.0},
+            {"churn_fraction": 1.2},
+        ):
+            with pytest.raises(ValueError):
+                kern.age_memory(DeterministicRandom(5), **fractions)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        memory_mb=st.sampled_from([4, 8, 32]),
+        clear_on_free=st.booleans(),
+        hold_fraction=st.sampled_from([0.0, 0.1, 0.3, 0.75]),
+        churn_fraction=st.sampled_from([0.05, 0.5, 0.95, 1.0]),
+        prepopulate=st.lists(st.integers(0, 3), max_size=24),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bulk_aging_equals_per_frame_aging(
+        self, memory_mb, clear_on_free, hold_fraction, churn_fraction, prepopulate, seed
+    ):
+        def boot():
+            kern = Kernel(KernelConfig(memory_mb=memory_mb, zero_on_free=clear_on_free))
+            buddy = kern.buddy
+            events = []
+            charge = buddy.on_page_clear
+            buddy.on_page_clear = lambda n: (events.append(("clear", n)), charge(n))
+            buddy.on_free = lambda head, order, cleared: events.append(
+                ("free", head, order, cleared)
+            )
+            # Fragment the free lists and fill the hot list before aging:
+            # allocate blocks of mixed orders with content, free every
+            # other one (order-0 frees land on the hot list).
+            heads = []
+            for order in prepopulate:
+                head = buddy.alloc_pages(order)
+                kern.physmem.write_frame(head, b"stale")
+                heads.append(head)
+            for head in heads[::2]:
+                buddy.free_pages(head)
+            return kern, events
+
+        def per_frame_age(kern, rng):
+            buddy = kern.buddy
+            budget = int(buddy.free_frames() * churn_fraction)
+            frames = [buddy.alloc_pages(0, PageFlag.KERNEL_BUFFER) for _ in range(budget)]
+            rng.shuffle(frames)
+            hold_count = int(budget * hold_fraction)
+            kern._aged_holders = frames[:hold_count]
+            for frame in frames[hold_count:]:
+                buddy.free_pages(frame)
+            return hold_count
+
+        def state(kern):
+            buddy = kern.buddy
+            assert all(type(heads) is list for heads in buddy._free_lists.values())
+            return {
+                "free_lists": dict(buddy._free_lists),
+                "free_heads": dict(buddy._free_heads),
+                "hot": list(buddy._hot),
+                "hot_set": set(buddy._hot_set),
+                "alloc_orders": list(buddy._alloc_orders.items()),
+                "pages": [(p.count, p.flags, p.order) for p in buddy.pages],
+                "placement_rng": buddy.placement_rng.getstate(),
+                "generations": list(kern.physmem.frame_generations()),
+                "clock": (kern.clock.now_us, dict(kern.clock.spent)),
+                "counters": (buddy.alloc_count, buddy.free_count, buddy.cleared_frames),
+                "holders": list(kern._aged_holders),
+            }
+
+        bulk, bulk_events = boot()
+        reference, reference_events = boot()
+        held = bulk.age_memory(DeterministicRandom(seed), hold_fraction, churn_fraction)
+        assert held == per_frame_age(reference, DeterministicRandom(seed))
+        assert bulk_events == reference_events
+        assert state(bulk) == state(reference)
+        bulk.buddy.check_invariants()
+        following = min(200, reference.buddy.free_frames())
+        assert [bulk.buddy.alloc_pages(0) for _ in range(following)] == [
+            reference.buddy.alloc_pages(0) for _ in range(following)
+        ]
+        assert state(bulk) == state(reference)
 
 
 class TestNtty:

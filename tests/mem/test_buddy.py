@@ -1,11 +1,13 @@
 """Unit and property tests for the buddy allocator."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AllocatorStateError, OutOfMemoryError
-from repro.mem.buddy import HOT_LIST_CAPACITY, BuddyAllocator
+from repro.mem.buddy import HOT_LIST_CAPACITY, BuddyAllocator, ChunkedFreeList
 from repro.mem.page import PageFlag
 from repro.mem.physmem import PhysicalMemory
 
@@ -376,4 +378,203 @@ class TestFreeHook:
                 buddy.free_pages(head)
         for head, _order in live:
             buddy.free_pages(head)
+        buddy.check_invariants()
+
+
+# ----------------------------------------------------------------------
+# bulk primitives: alloc_many / free_many and the chunked free list
+# ----------------------------------------------------------------------
+@st.composite
+def chunked_list_ops(draw):
+    """Start items plus a script of insert/remove/pop steps."""
+    start = draw(st.lists(st.integers(0, 2000), unique=True, max_size=600))
+    steps = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "remove", "pop"]),
+                st.integers(0, 10**6),
+            ),
+            max_size=400,
+        )
+    )
+    return start, steps
+
+
+class TestChunkedFreeList:
+    @settings(max_examples=60, deadline=None)
+    @given(ops=chunked_list_ops())
+    def test_agrees_with_plain_list(self, ops):
+        start, steps = ops
+        model = list(start)
+        chunked = ChunkedFreeList(start)
+        fresh = 10**7
+        for action, value in steps:
+            if action == "insert":
+                index = value % (len(model) + 1)
+                model.insert(index, fresh)
+                chunked.insert(index, fresh)
+                fresh += 1
+            elif action == "remove" and model:
+                item = model[value % len(model)]
+                model.remove(item)
+                chunked.remove(item)
+            elif action == "pop" and model:
+                assert chunked.pop() == model.pop()
+            assert len(chunked) == len(model)
+            assert bool(chunked) == bool(model)
+            assert list(chunked) == model
+
+    def test_grows_past_one_chunk_from_empty(self):
+        chunked = ChunkedFreeList([])
+        model = []
+        for item in range(1000):
+            index = (item * 7919) % (len(model) + 1)
+            model.insert(index, item)
+            chunked.insert(index, item)
+        assert list(chunked) == model
+        while model:
+            assert chunked.pop() == model.pop()
+        assert len(chunked) == 0 and list(chunked) == []
+
+
+def _allocator_state(buddy):
+    assert all(type(heads) is list for heads in buddy._free_lists.values())
+    return (
+        dict(buddy._free_lists),
+        dict(buddy._free_heads),
+        list(buddy._hot),
+        list(buddy._alloc_orders.items()),
+        [(p.count, p.flags, p.order) for p in buddy.pages],
+        buddy.placement_rng.getstate() if buddy.placement_rng else None,
+        (buddy.alloc_count, buddy.free_count, buddy.cleared_frames),
+    )
+
+
+class _FailAt:
+    """Stand-in fault injector: fail the ``n``-th buddy.alloc tick."""
+
+    def __init__(self, n):
+        self.n = n
+        self.ticks = 0
+
+    def tick(self, site):
+        self.ticks += 1
+        return self.ticks == self.n
+
+
+class TestBulkPrimitives:
+    def _pair(self, frames=256, reclaim=0, fail_at=None):
+        """Two identical allocators with a reclaim hook that frees up to
+        ``reclaim`` pre-held frames, and optionally a fault at one tick."""
+        pair = []
+        for _ in range(2):
+            _, buddy = make_allocator(frames=frames, reserved=3)
+            buddy.placement_rng = random.Random(7)
+            held = [buddy.alloc_pages(0) for _ in range(reclaim)]
+            for head in [buddy.alloc_pages(2) for _ in range(3)][::2]:
+                buddy.free_pages(head)
+            calls = []
+
+            def oom_reclaim(pages, held=held, buddy=buddy, calls=calls):
+                calls.append(pages)
+                freed = 0
+                while held and freed < 2:
+                    buddy.free_pages(held.pop())
+                    freed += 1
+                return freed
+
+            buddy.oom_reclaim = oom_reclaim
+            if fail_at is not None:
+                buddy.faults = _FailAt(fail_at)
+            pair.append((buddy, calls))
+        return pair
+
+    @pytest.mark.parametrize("extra", [0, 1, 3, 9])
+    def test_alloc_many_through_exhaustion_and_reclaim(self, extra):
+        (bulk, bulk_calls), (ref, ref_calls) = self._pair(reclaim=6)
+        count = bulk.free_frames() + extra
+        outcomes = []
+        for buddy, run in (
+            (bulk, lambda: bulk.alloc_many(count, PageFlag.ANON)),
+            (ref, lambda: [ref.alloc_pages(0, PageFlag.ANON) for _ in range(count)]),
+        ):
+            try:
+                outcomes.append(run())
+            except OutOfMemoryError:
+                outcomes.append("oom")
+        assert outcomes[0] == outcomes[1]
+        assert bulk_calls == ref_calls
+        assert (extra > 0) == bool(bulk_calls)
+        assert _allocator_state(bulk) == _allocator_state(ref)
+        bulk.check_invariants()
+
+    @pytest.mark.parametrize("fail_at", [1, 5, 40])
+    def test_alloc_many_ticks_an_armed_injector_per_frame(self, fail_at):
+        (bulk, _), (ref, _) = self._pair(fail_at=fail_at)
+        with pytest.raises(OutOfMemoryError):
+            bulk.alloc_many(100)
+        with pytest.raises(OutOfMemoryError):
+            for _ in range(100):
+                ref.alloc_pages(0)
+        assert bulk.faults.ticks == ref.faults.ticks == fail_at
+        assert _allocator_state(bulk) == _allocator_state(ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        count=st.integers(0, 250),
+        hold=st.integers(0, 250),
+        clear=st.booleans(),
+        seed=st.integers(0, 1000),
+    )
+    def test_free_many_equals_free_pages(self, count, hold, clear, seed):
+        (bulk, _), (ref, _) = self._pair()
+        frames = bulk.alloc_many(min(count, bulk.free_frames()))
+        assert frames == [ref.alloc_pages(0) for _ in frames]
+        random.Random(seed).shuffle(frames)
+        logs = []
+        for buddy in (bulk, ref):
+            log = []
+            buddy.clear_on_free = clear
+            buddy.on_page_clear = lambda n, log=log: log.append(("clear", n))
+            buddy.on_free = lambda head, order, cleared, log=log: log.append(
+                (head, order, cleared)
+            )
+            logs.append(log)
+        bulk.free_many(frames[hold:])
+        for frame in frames[hold:]:
+            ref.free_pages(frame)
+        assert logs[0] == logs[1]
+        assert _allocator_state(bulk) == _allocator_state(ref)
+        bulk.check_invariants()
+
+    def test_free_many_restores_plain_lists_when_hook_raises(self):
+        (bulk, _), (ref, _) = self._pair()
+        frames = bulk.alloc_many(20)
+        assert frames == [ref.alloc_pages(0) for _ in range(20)]
+
+        def hook(head, order, cleared):
+            if head == frames[12]:
+                raise RuntimeError("hook")
+
+        bulk.on_free = ref.on_free = hook
+        with pytest.raises(RuntimeError):
+            bulk.free_many(frames)
+        with pytest.raises(RuntimeError):
+            for frame in frames:
+                ref.free_pages(frame)
+        assert _allocator_state(bulk) == _allocator_state(ref)
+        bulk.check_invariants()
+
+    def test_free_many_rejects_bad_frames(self):
+        _, buddy = make_allocator(frames=64)
+        head = buddy.alloc_pages(2)
+        with pytest.raises(AllocatorStateError):
+            buddy.free_many([head])
+        with pytest.raises(AllocatorStateError):
+            buddy.free_many([head + 1])
+        frame = buddy.alloc_pages(0)
+        buddy.get_page(frame)
+        with pytest.raises(AllocatorStateError):
+            buddy.free_many([frame])
+        assert all(type(heads) is list for heads in buddy._free_lists.values())
         buddy.check_invariants()

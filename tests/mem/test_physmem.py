@@ -1,6 +1,8 @@
 """Unit tests for the physical memory substrate."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import BadAddressError
 from repro.mem.physmem import PAGE_SIZE, PhysicalMemory
@@ -100,6 +102,42 @@ class TestFrameAccess:
         mem.write_frame(5, b"secret" * 100)
         mem.clear_frame(5)
         assert mem.frame_is_zero(5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["write", "fill", "write_frame", "copy_frame", "clear_frame"]),
+                st.integers(0, 7),
+                st.integers(0, 7),
+                st.integers(0, 3 * PAGE_SIZE),
+            ),
+            max_size=30,
+        )
+    )
+    def test_clear_frame_zeroes_whatever_came_before(self, steps):
+        # clear_frame skips the write on a frame whose generation is
+        # still 0; that is exact only while every mutator bumps it.
+        mem = PhysicalMemory(num_frames=8)
+        for action, frame, other, length in steps:
+            offset = frame * PAGE_SIZE + other
+            if action == "write":
+                mem.write(offset, b"\x5a" * min(length, mem.size - offset))
+            elif action == "fill":
+                mem.fill(offset, min(length, mem.size - offset), 0xA5)
+            elif action == "write_frame":
+                mem.write_frame(frame, b"key" * (length % 1000))
+            elif action == "copy_frame":
+                mem.copy_frame(other, frame)
+            else:
+                mem.clear_frame(frame)
+                assert mem.frame_is_zero(frame)
+            for untouched in range(8):
+                if mem.frame_generation(untouched) == 0:
+                    assert mem.frame_is_zero(untouched)
+        for frame in range(8):
+            mem.clear_frame(frame)
+        assert mem.read(0, mem.size) == bytes(mem.size)
 
     def test_copy_frame(self, mem):
         mem.write_frame(1, b"the quick brown fox")
