@@ -22,15 +22,20 @@ header expressions of control constructs, plus three synthetic nodes:
   for the taint pass, the scrub-on-all-paths check, and KeyState's
   typestate engine alike.
 
-Shared infrastructure: both KeyFlow and KeyState build their per-
-function graphs here.
+Shared infrastructure: KeyFlow, KeyState, KeyRecon and KeySpan all
+build their per-function graphs here.  Each graph caches its
+predecessor lists and reverse postorder on first use.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar,
+)
+
+T = TypeVar("T")
 
 #: Statement types that cannot raise (no exception edge emitted).
 _NO_RAISE = (ast.Pass, ast.Break, ast.Continue, ast.Global, ast.Nonlocal)
@@ -61,6 +66,8 @@ class CFG:
 
     def __init__(self) -> None:
         self.nodes: List[CFGNode] = []
+        self._preds: Optional[List[List[Tuple[int, str]]]] = None
+        self._rpo: Optional[Tuple[List[int], List[int]]] = None
         self.entry = self._new("entry")
         self.exit = self._new("exit")
         self.raise_exit = self._new("raise-exit")
@@ -69,19 +76,65 @@ class CFG:
              expr: Optional[ast.expr] = None) -> int:
         node = CFGNode(index=len(self.nodes), kind=kind, stmt=stmt, expr=expr)
         self.nodes.append(node)
+        self._preds = self._rpo = None
         return node.index
 
     def _edge(self, src: int, dst: int, kind: str = "normal") -> None:
         if (dst, kind) not in self.nodes[src].succs:
             self.nodes[src].succs.append((dst, kind))
+            self._preds = self._rpo = None
+
+    def preds(self) -> List[List[Tuple[int, str]]]:
+        """node index -> its ``(pred_index, edge_kind)`` list."""
+        if self._preds is None:
+            self._preds = [[] for _ in self.nodes]
+            for node in self.nodes:
+                for dst, kind in node.succs:
+                    self._preds[dst].append((node.index, kind))
+        return self._preds
 
     def preds_of(self, index: int) -> List[Tuple[int, str]]:
-        return [
-            (node.index, kind)
-            for node in self.nodes
-            for (dst, kind) in node.succs
-            if dst == index
-        ]
+        return list(self.preds()[index])
+
+    def rpo(self) -> Tuple[List[int], List[int]]:
+        """``(order, rank)``: node indices in reverse postorder from
+        ``entry`` (unreachable nodes last), and each node's position."""
+        if self._rpo is None:
+            post = dfs_postorder(
+                [self.entry], lambda i: [dst for dst, _ in self.nodes[i].succs]
+            )
+            reached = set(post)
+            order = post[::-1] + [
+                i for i in range(len(self.nodes)) if i not in reached
+            ]
+            rank = [0] * len(order)
+            for position, index in enumerate(order):
+                rank[index] = position
+            self._rpo = (order, rank)
+        return self._rpo
+
+
+def dfs_postorder(roots: Iterable[T], succs: Callable[[T], Iterable[T]]) -> List[T]:
+    """Every node reachable from ``roots`` (taken in turn) in depth-first
+    postorder, without recursion."""
+    order: List[T] = []
+    seen: Set[T] = set()
+    for root in roots:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(succs(root)))]
+        while stack:
+            node, rest = stack[-1]
+            for succ in rest:
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append((succ, iter(succs(succ))))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+    return order
 
 
 class _Builder:

@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.ir.cfg import dfs_postorder
+
 
 @dataclass
 class FunctionInfo:
@@ -176,6 +178,7 @@ class Project:
         #: module name -> {module-level def name -> full name}.
         self._module_defs: Dict[str, Dict[str, str]] = {}
         self.files: List[str] = []
+        self._callee_first: Optional[List[str]] = None
 
     # ------------------------------------------------------------------
     # loading
@@ -289,6 +292,18 @@ class Project:
     # ------------------------------------------------------------------
     def sorted_names(self) -> List[str]:
         return sorted(self.functions)
+
+    def callee_first_names(self) -> List[str]:
+        """Every function, callees before callers where the call graph
+        has no cycle: a DFS postorder over sorted resolved callees, rooted
+        at each of :meth:`sorted_names` in turn.  Computed once."""
+        if self._callee_first is None:
+            def callees(name: str) -> List[str]:
+                targets = self.functions[name].call_targets.values()
+                return sorted({callee for group in targets for callee in group})
+
+            self._callee_first = dfs_postorder(self.sorted_names(), callees)
+        return list(self._callee_first)
 
     def callers_of(self, full_name: str) -> Set[str]:
         return self.callers.get(full_name, set())

@@ -19,19 +19,21 @@ Because all global facts grow monotonically and per-function transfer
 is monotone in them, chaotic iteration converges to the unique least
 fixpoint regardless of worklist order; findings are then collected in
 one deterministic final pass.  That is the basis of the byte-identical
-output guarantee tested by ``test_determinism.py``.
+output guarantee tested by ``test_determinism.py``.  Fixpoint runs
+only solve (``ir.solver``) and grow the global facts; that final pass
+is the only one that collects.
 """
 
 from __future__ import annotations
 
 import ast
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.ir.cfg import CFG, build_cfg
-from repro.analysis.keyflow.config import KeyFlowConfig
+from repro.analysis.ir.cfg import CFG
 from repro.analysis.ir.project import FunctionInfo, Project, call_terminal
+from repro.analysis.ir.solver import SummaryFixpoint, solve_forward
+from repro.analysis.keyflow.config import KeyFlowConfig
 
 
 @dataclass
@@ -84,43 +86,18 @@ class _FunctionTaint:
         self.tainted_fields = tainted_fields
         self.result = FunctionResult()
         self.collecting = False
-        self._ins: List[Set[str]] = [set() for _ in cfg.nodes]
 
     # ------------------------------------------------------------------
-    def run(self) -> FunctionResult:
+    def run(self, collect: bool) -> FunctionResult:
+        """Solve; with ``collect``, then record events over the IN states."""
         entry_state = set(self.summaries[self.info.full_name].tainted_params)
-        self._ins[self.cfg.entry] = set(entry_state)
-        outs: List[Optional[Set[str]]] = [None] * len(self.cfg.nodes)
-        preds: List[List[int]] = [[] for _ in self.cfg.nodes]
-        for node in self.cfg.nodes:
-            for dst, _ in node.succs:
-                preds[dst].append(node.index)
-
-        worklist = deque(range(len(self.cfg.nodes)))
-        pending = set(worklist)
-        while worklist:
-            index = worklist.popleft()
-            pending.discard(index)
-            in_state: Set[str] = set(entry_state) if index == self.cfg.entry else set()
-            for pred in preds[index]:
-                if outs[pred] is not None:
-                    in_state |= outs[pred]
-            self._ins[index] = in_state
-            out_state = self._transfer(self.cfg.nodes[index], set(in_state))
-            if outs[index] is None or out_state != outs[index]:
-                outs[index] = out_state
-                for dst, _ in self.cfg.nodes[index].succs:
-                    if dst not in pending:
-                        pending.add(dst)
-                        worklist.append(dst)
-
-        # Final deterministic collection pass over settled IN states.
-        self.collecting = True
-        self.result.events = []
-        for node in self.cfg.nodes:
-            self._transfer(node, set(self._ins[node.index]))
-        if entry_state:
-            self.result.touches_secret = True
+        ins = solve_forward(self.cfg, entry_state, self._transfer, _union, set)
+        if collect:
+            self.collecting = True
+            for node in self.cfg.nodes:
+                self._transfer(node, ins[node.index])
+            if entry_state:
+                self.result.touches_secret = True
         return self.result
 
     # ------------------------------------------------------------------
@@ -374,25 +351,22 @@ class _FunctionTaint:
                 self.result.param_contribs.setdefault(target, set()).update(contrib)
 
 
-class TaintAnalysis:
+def _union(into: Set[str], other: Set[str], _kind: str) -> None:
+    into |= other
+
+
+class TaintAnalysis(SummaryFixpoint):
     """Whole-program fixpoint over all function summaries."""
 
     def __init__(self, project: Project, config: KeyFlowConfig) -> None:
-        self.project = project
+        super().__init__(project)
         self.config = config
         self.summaries: Dict[str, Summary] = {
             name: Summary() for name in project.functions
         }
         self.tainted_fields: Set[str] = set()
-        self._cfgs: Dict[str, CFG] = {}
-        self.results: Dict[str, FunctionResult] = {}
 
-    def _cfg_for(self, name: str) -> CFG:
-        if name not in self._cfgs:
-            self._cfgs[name] = build_cfg(self.project.functions[name].node)
-        return self._cfgs[name]
-
-    def _analyze_one(self, name: str) -> FunctionResult:
+    def _analyze_one(self, name: str, collect: bool = False) -> FunctionResult:
         return _FunctionTaint(
             info=self.project.functions[name],
             cfg=self._cfg_for(name),
@@ -400,51 +374,20 @@ class TaintAnalysis:
             project=self.project,
             summaries=self.summaries,
             tainted_fields=self.tainted_fields,
-        ).run()
+        ).run(collect)
 
-    def run(self, initial_order: Optional[Sequence[str]] = None) -> None:
-        """Iterate to the least fixpoint, then collect final results.
-
-        ``initial_order`` permutes the starting worklist; because the
-        global facts are monotone the fixpoint — and therefore every
-        reported result — is identical for any order.
-        """
-        names = (
-            list(initial_order)
-            if initial_order is not None
-            else self.project.sorted_names()
-        )
-        worklist = deque(names)
-        pending = set(names)
-
-        def enqueue(name: str) -> None:
-            if name in self.summaries and name not in pending:
-                pending.add(name)
-                worklist.append(name)
-
-        while worklist:
-            name = worklist.popleft()
-            pending.discard(name)
-            result = self._analyze_one(name)
-
-            if result.returns_tainted and not self.summaries[name].returns_tainted:
-                self.summaries[name].returns_tainted = True
-                for caller in sorted(self.project.callers_of(name)):
-                    enqueue(caller)
-            for attr in sorted(result.field_writes - self.tainted_fields):
-                self.tainted_fields.add(attr)
-                for reader in sorted(self.project.readers_of(attr)):
-                    enqueue(reader)
-            for callee in sorted(result.param_contribs):
-                fresh = result.param_contribs[callee] - self.summaries[callee].tainted_params
-                if fresh:
-                    self.summaries[callee].tainted_params |= fresh
-                    enqueue(callee)
-
-        # Deterministic final pass: every function once, sorted.
-        self.results = {
-            name: self._analyze_one(name) for name in self.project.sorted_names()
-        }
+    def _absorb(self, name: str, result: FunctionResult) -> Iterator[str]:
+        if result.returns_tainted and not self.summaries[name].returns_tainted:
+            self.summaries[name].returns_tainted = True
+            yield from sorted(self.project.callers_of(name))
+        for attr in sorted(result.field_writes - self.tainted_fields):
+            self.tainted_fields.add(attr)
+            yield from sorted(self.project.readers_of(attr))
+        for callee in sorted(result.param_contribs):
+            fresh = result.param_contribs[callee] - self.summaries[callee].tainted_params
+            if fresh:
+                self.summaries[callee].tainted_params |= fresh
+                yield callee
 
     # ------------------------------------------------------------------
     def leak_set(self) -> List[str]:

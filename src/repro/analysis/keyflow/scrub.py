@@ -29,13 +29,13 @@ not a replacement for KeySan's runtime verdict.
 from __future__ import annotations
 
 import ast
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.analysis.ir.cfg import CFG
+from repro.analysis.ir.project import FunctionInfo, call_terminal
+from repro.analysis.ir.solver import solve_forward
 from repro.analysis.keyflow.config import KeyFlowConfig
-from repro.analysis.ir.project import FunctionInfo, Project, call_terminal
 
 
 @dataclass(frozen=True)
@@ -72,35 +72,8 @@ class _ScrubCheck:
         if not self.owned:
             return []
 
-        n = len(self.cfg.nodes)
-        # OUT per node per edge kind
-        out_normal: List[Optional[Set[str]]] = [None] * n
-        out_exc: List[Optional[Set[str]]] = [None] * n
-        preds: List[List[Tuple[int, str]]] = [[] for _ in range(n)]
-        for node in self.cfg.nodes:
-            for dst, kind in node.succs:
-                preds[dst].append((node.index, kind))
-
-        ins: List[Set[str]] = [set() for _ in range(n)]
-        worklist = deque(range(n))
-        pending = set(worklist)
-        while worklist:
-            index = worklist.popleft()
-            pending.discard(index)
-            in_state: Set[str] = set()
-            for pred, kind in preds[index]:
-                source = out_exc[pred] if kind == "exception" else out_normal[pred]
-                if source is not None:
-                    in_state |= source
-            ins[index] = in_state
-            normal, exc = self._transfer(self.cfg.nodes[index], in_state)
-            if normal != out_normal[index] or exc != out_exc[index]:
-                out_normal[index] = normal
-                out_exc[index] = exc
-                for dst, _ in self.cfg.nodes[index].succs:
-                    if dst not in pending:
-                        pending.add(dst)
-                        worklist.append(dst)
+        # OUT is a (normal-edge, exception-edge) pair per node.
+        ins = solve_forward(self.cfg, set(), self._transfer, _join_edge, set)
 
         violations: List[ScrubViolation] = []
         for exit_index, exit_kind in (
@@ -210,6 +183,12 @@ class _ScrubCheck:
             for node in ast.walk(expr)
             if isinstance(node, ast.Name) and node.id in self.owned
         }
+
+
+def _join_edge(
+    into: Set[str], out: Tuple[Set[str], Set[str]], kind: str
+) -> None:
+    into |= out[1] if kind == "exception" else out[0]
 
 
 def check_function(

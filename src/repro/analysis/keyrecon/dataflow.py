@@ -28,18 +28,20 @@ union of the ``adds`` of its *satisfied* edges, and satisfaction never
 un-happens), so chaotic iteration converges to the unique least
 fixpoint regardless of worklist order; results are then collected in
 one deterministic final pass — the basis of the byte-identical output
-guarantee.
+guarantee.  Fixpoint runs only solve (``ir.solver``) and grow the
+global facts, seeded callee-first; that final pass is the only one
+that collects.
 """
 
 from __future__ import annotations
 
 import ast
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.ir.cfg import CFG, build_cfg
+from repro.analysis.ir.cfg import CFG
 from repro.analysis.ir.project import FunctionInfo, Project, call_terminal
+from repro.analysis.ir.solver import SummaryFixpoint, solve_forward
 from repro.analysis.keyrecon.config import KeyReconConfig
 
 EMPTY: FrozenSet[str] = frozenset()
@@ -99,6 +101,7 @@ class _FunctionRecon:
         project: Project,
         summaries: Dict[str, Summary],
         fragment_fields: Dict[str, Set[str]],
+        edges_by_call: Dict[str, List],
     ) -> None:
         self.info = info
         self.cfg = cfg
@@ -108,55 +111,24 @@ class _FunctionRecon:
         self.fragment_fields = fragment_fields
         self.result = FunctionResult()
         self.collecting = False
-        self._ins: List[State] = [{} for _ in cfg.nodes]
-        # Derivation edges indexed by terminal call name, once.
-        self._edges_by_call: Dict[str, List] = {}
-        for edge in config.derivations:
-            self._edges_by_call.setdefault(edge.call, []).append(edge)
+        self._edges_by_call = edges_by_call
 
     # ------------------------------------------------------------------
-    def run(self) -> FunctionResult:
+    def run(self, collect: bool) -> FunctionResult:
+        """Solve; with ``collect``, then record events over the IN states."""
         summary = self.summaries[self.info.full_name]
         entry_state: State = {
             param: frozenset(frags)
             for param, frags in summary.param_fragments.items()
             if frags
         }
-        self._ins[self.cfg.entry] = dict(entry_state)
-        outs: List[Optional[State]] = [None] * len(self.cfg.nodes)
-        preds: List[List[int]] = [[] for _ in self.cfg.nodes]
-        for node in self.cfg.nodes:
-            for dst, _ in node.succs:
-                preds[dst].append(node.index)
-
-        worklist = deque(range(len(self.cfg.nodes)))
-        pending = set(worklist)
-        while worklist:
-            index = worklist.popleft()
-            pending.discard(index)
-            in_state: State = (
-                dict(entry_state) if index == self.cfg.entry else {}
-            )
-            for pred in preds[index]:
-                if outs[pred] is not None:
-                    _join(in_state, outs[pred])
-            self._ins[index] = in_state
-            out_state = self._transfer(self.cfg.nodes[index], dict(in_state))
-            if outs[index] is None or out_state != outs[index]:
-                outs[index] = out_state
-                for dst, _ in self.cfg.nodes[index].succs:
-                    if dst not in pending:
-                        pending.add(dst)
-                        worklist.append(dst)
-
-        # Final deterministic collection pass over settled IN states.
-        self.collecting = True
-        self.result.events = []
-        self.result.derivations = []
-        for node in self.cfg.nodes:
-            self._transfer(node, dict(self._ins[node.index]))
-        for frags in entry_state.values():
-            self.result.resident |= frags
+        ins = solve_forward(self.cfg, entry_state, self._transfer, _join, dict)
+        if collect:
+            self.collecting = True
+            for node in self.cfg.nodes:
+                self._transfer(node, ins[node.index])
+            for frags in entry_state.values():
+                self.result.resident |= frags
         return self.result
 
     # ------------------------------------------------------------------
@@ -459,31 +431,28 @@ class _FunctionRecon:
                     sink.setdefault(param, set()).update(frags)
 
 
-def _join(into: State, other: State) -> None:
+def _join(into: State, other: State, _kind: str) -> None:
     for name, frags in other.items():
         current = into.get(name)
         into[name] = frags if current is None else current | frags
 
 
-class ReconAnalysis:
+class ReconAnalysis(SummaryFixpoint):
     """Whole-program fixpoint over all function summaries."""
 
     def __init__(self, project: Project, config: KeyReconConfig) -> None:
-        self.project = project
+        super().__init__(project)
         self.config = config
         self.summaries: Dict[str, Summary] = {
             name: Summary() for name in project.functions
         }
         self.fragment_fields: Dict[str, Set[str]] = {}
-        self._cfgs: Dict[str, CFG] = {}
-        self.results: Dict[str, FunctionResult] = {}
+        # Derivation edges indexed by terminal call name, once.
+        self._edges_by_call: Dict[str, List] = {}
+        for edge in config.derivations:
+            self._edges_by_call.setdefault(edge.call, []).append(edge)
 
-    def _cfg_for(self, name: str) -> CFG:
-        if name not in self._cfgs:
-            self._cfgs[name] = build_cfg(self.project.functions[name].node)
-        return self._cfgs[name]
-
-    def _analyze_one(self, name: str) -> FunctionResult:
+    def _analyze_one(self, name: str, collect: bool = False) -> FunctionResult:
         return _FunctionRecon(
             info=self.project.functions[name],
             cfg=self._cfg_for(name),
@@ -491,64 +460,32 @@ class ReconAnalysis:
             project=self.project,
             summaries=self.summaries,
             fragment_fields=self.fragment_fields,
-        ).run()
+            edges_by_call=self._edges_by_call,
+        ).run(collect)
 
-    def run(self, initial_order: Optional[Sequence[str]] = None) -> None:
-        """Iterate to the least fixpoint, then collect final results.
-
-        ``initial_order`` permutes the starting worklist; because the
-        global facts are monotone the fixpoint — and therefore every
-        reported result — is identical for any order.
-        """
-        names = (
-            list(initial_order)
-            if initial_order is not None
-            else self.project.sorted_names()
-        )
-        worklist = deque(names)
-        pending = set(names)
-
-        def enqueue(name: str) -> None:
-            if name in self.summaries and name not in pending:
-                pending.add(name)
-                worklist.append(name)
-
-        while worklist:
-            name = worklist.popleft()
-            pending.discard(name)
-            result = self._analyze_one(name)
-            summary = self.summaries[name]
-
-            fresh_ret = result.return_fragments - summary.return_fragments
-            if fresh_ret:
-                summary.return_fragments |= fresh_ret
-                for caller in sorted(self.project.callers_of(name)):
-                    enqueue(caller)
-            for attr in sorted(result.field_writes):
-                known = self.fragment_fields.setdefault(attr, set())
-                fresh = result.field_writes[attr] - known
+    def _absorb(self, name: str, result: FunctionResult) -> Iterator[str]:
+        summary = self.summaries[name]
+        fresh_ret = result.return_fragments - summary.return_fragments
+        if fresh_ret:
+            summary.return_fragments |= fresh_ret
+            yield from sorted(self.project.callers_of(name))
+        for attr in sorted(result.field_writes):
+            known = self.fragment_fields.setdefault(attr, set())
+            fresh = result.field_writes[attr] - known
+            if fresh:
+                known |= fresh
+                yield from sorted(self.project.readers_of(attr))
+        for callee in sorted(result.param_contribs):
+            callee_summary = self.summaries[callee]
+            grew = False
+            for param, frags in result.param_contribs[callee].items():
+                known = callee_summary.param_fragments.setdefault(param, set())
+                fresh = frags - known
                 if fresh:
                     known |= fresh
-                    for reader in sorted(self.project.readers_of(attr)):
-                        enqueue(reader)
-            for callee in sorted(result.param_contribs):
-                callee_summary = self.summaries[callee]
-                grew = False
-                for param, frags in result.param_contribs[callee].items():
-                    known = callee_summary.param_fragments.setdefault(
-                        param, set()
-                    )
-                    fresh = frags - known
-                    if fresh:
-                        known |= fresh
-                        grew = True
-                if grew:
-                    enqueue(callee)
-
-        # Deterministic final pass: every function once, sorted.
-        self.results = {
-            name: self._analyze_one(name) for name in self.project.sorted_names()
-        }
+                    grew = True
+            if grew:
+                yield callee
 
     # ------------------------------------------------------------------
     def resident_fragments(self) -> Dict[str, FrozenSet[str]]:

@@ -253,10 +253,7 @@ class _FunctionRun:
         outs[self.cfg.entry] = (entry_env, entry_obj)
         outs_exc[self.cfg.entry] = (entry_env, entry_obj)
 
-        preds: List[List[Tuple[int, str]]] = [[] for _ in range(n)]
-        for node in self.cfg.nodes:
-            for dst, kind in node.succs:
-                preds[dst].append((node.index, kind))
+        preds = self.cfg.preds()
 
         work = sorted(
             {dst for node in self.cfg.nodes for (dst, _) in node.succs}
@@ -878,9 +875,27 @@ class _FunctionRun:
 # ----------------------------------------------------------------------
 # interprocedural driver, one automaton at a time
 # ----------------------------------------------------------------------
+def _call_index(project: Project) -> Tuple[Dict[str, Set[str]], ...]:
+    """function -> terminals of every call in its AST (nested defs
+    included), and function -> resolved callees; built once per
+    :func:`analyze` and shared by every automaton."""
+    functions = project.functions.items()
+    terminals = {
+        name: {call_terminal(n) for n in ast.walk(info.node)
+               if isinstance(n, ast.Call)} - {None}
+        for name, info in functions
+    }
+    callees = {
+        name: {t for targets in info.call_targets.values() for t in targets}
+        for name, info in functions
+    }
+    return terminals, callees
+
+
 class _AutomatonEngine:
     def __init__(
-        self, project: Project, automaton: Automaton, config: KeyStateConfig
+        self, project: Project, automaton: Automaton, config: KeyStateConfig,
+        call_index: Tuple[Dict[str, Set[str]], ...],
     ) -> None:
         self.project = project
         self.automaton = automaton
@@ -894,21 +909,8 @@ class _AutomatonEngine:
         interesting = {t for t, _ in automaton.creators}
         interesting.update(p.terminal for p in automaton.events)
         self._interesting = interesting
-        #: function -> terminals it calls (for the relevance filter).
-        self._terminals: Dict[str, Set[str]] = {}
-        self._callees: Dict[str, Set[str]] = {}
-        for name, info in project.functions.items():
-            terms: Set[str] = set()
-            for call in (
-                n for n in ast.walk(info.node) if isinstance(n, ast.Call)
-            ):
-                terminal = call_terminal(call)
-                if terminal is not None:
-                    terms.add(terminal)
-            self._terminals[name] = terms
-            self._callees[name] = {
-                t for targets in info.call_targets.values() for t in targets
-            }
+        #: function -> terminals it calls / callees (relevance filter).
+        self._terminals, self._callees = call_index
 
     def cfg_for(self, info: FunctionInfo) -> CFG:
         cfg = self._cfgs.get(info.full_name)
@@ -1081,9 +1083,12 @@ def analyze(
 
     findings: List[Finding] = []
     rule_descriptions: Dict[str, str] = {}
+    call_index = _call_index(project)
     for automaton in automata:
         rule_descriptions.update(automaton.rules)
-        findings.extend(_AutomatonEngine(project, automaton, config).run())
+        findings.extend(
+            _AutomatonEngine(project, automaton, config, call_index).run()
+        )
 
     return KeyStateReport(
         findings=sort_findings(findings),

@@ -77,6 +77,10 @@ class TestShuffles:
             analyze(paths=[root], files=pairs, initial_order=names)
         )
         assert shuffled == baseline
+        in_sorted_order = rendered(
+            analyze(paths=[root], initial_order=sorted(names))
+        )
+        assert in_sorted_order == baseline
 
     def test_two_full_dogfood_runs_are_byte_identical(self):
         first = rendered(analyze())
@@ -94,3 +98,14 @@ class TestShuffles:
 
         project = Project.load([REPRO_ROOT])
         assert rendered(analyze(project=project)) == rendered(analyze())
+
+    def test_default_sorted_and_shuffled_seeds_on_real_tree(self):
+        from repro.analysis.keyrecon.engine import REPRO_ROOT
+
+        project = Project.load([REPRO_ROOT])
+        names = project.sorted_names()
+        shuffled = list(names)
+        random.Random(20071).shuffle(shuffled)
+        default = rendered(analyze(project=project))
+        assert rendered(analyze(project=project, initial_order=names)) == default
+        assert rendered(analyze(project=project, initial_order=shuffled)) == default

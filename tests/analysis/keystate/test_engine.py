@@ -293,3 +293,35 @@ class TestReportShape:
     def test_missing_path_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             analyze(paths=[tmp_path / "does-not-exist"])
+
+
+class TestCallIndex:
+    SOURCE = (
+        "def outer(x):\n"
+        "    def inner():\n"
+        "        return rsa_free(x)\n"
+        "    return inner\n"
+    )
+
+    def test_terminals_keep_ast_walk_semantics(self, tmp_path):
+        from repro.analysis.ir.project import Project
+        from repro.analysis.keystate.engine import _call_index
+
+        (tmp_path / "mod.py").write_text(self.SOURCE, encoding="utf-8")
+        terminals, callees = _call_index(Project.load([tmp_path]))
+        # a nested def's calls count for the enclosing function too
+        assert terminals["mod.outer"] == {"rsa_free"}
+        assert terminals["mod.outer.<locals>.inner"] == {"rsa_free"}
+        assert callees["mod.outer"] == set()
+
+    def test_built_once_per_analyze_for_all_automata(self, tmp_path, monkeypatch):
+        from repro.analysis.keystate import engine
+
+        real = engine._call_index
+        calls = []
+        monkeypatch.setattr(
+            engine, "_call_index", lambda project: calls.append(1) or real(project)
+        )
+        report = run(tmp_path, self.SOURCE)
+        assert len(report.protocols) == 3
+        assert calls == [1]

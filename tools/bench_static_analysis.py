@@ -11,7 +11,8 @@ and writes
 analysis-performance trajectory is tracked alongside the simulation
 benchmarks.  Each entry records per-layer wall time (best and mean)
 plus the finding count, so a perf regression and a precision
-regression are both visible in one diff.
+regression are both visible in one diff; the file also records the
+Python version and ``cpu_count`` of the machine that took it.
 
 Usage::
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -233,6 +235,7 @@ def main(argv=None) -> int:
         "benchmark": "static_analysis",
         "target": str(TARGET.relative_to(REPO_ROOT)),
         "python": sys.version.split()[0],
+        "cpu_count": os.cpu_count(),
         "results": results,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
