@@ -248,7 +248,7 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
             elapsed_s=metrics.elapsed_s, bytes_moved=metrics.bytes_moved,
         )
 
-    sim = Simulation(
+    with Simulation(
         SimulationConfig(
             server=spec.server,
             level=ProtectionLevel(spec.level),
@@ -256,28 +256,28 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
             memory_mb=spec.memory_mb,
             key_bits=spec.key_bits,
         )
-    )
-    sim.start_server()
-    predict = spec.attacker == "predict"
-    if spec.kind == "ext2":
-        sim.cycle_connections(spec.conns)
-        attack = (
-            sim.run_ext2_predict(spec.dirs)
-            if predict
-            else sim.run_ext2_attack(spec.dirs)
+    ) as sim:
+        sim.start_server()
+        predict = spec.attacker == "predict"
+        if spec.kind == "ext2":
+            sim.cycle_connections(spec.conns)
+            attack = (
+                sim.run_ext2_predict(spec.dirs)
+                if predict
+                else sim.run_ext2_attack(spec.dirs)
+            )
+        else:
+            if spec.conns:
+                sim.hold_connections(spec.conns)
+            attack = sim.run_ntty_predict() if predict else sim.run_ntty_attack()
+        return RunOutcome(
+            spec=spec,
+            seed=seed,
+            copies=attack.total_copies,
+            success=attack.success,
+            elapsed_s=attack.elapsed_s,
+            bytes_moved=attack.disclosed_bytes,
         )
-    else:
-        if spec.conns:
-            sim.hold_connections(spec.conns)
-        attack = sim.run_ntty_predict() if predict else sim.run_ntty_attack()
-    return RunOutcome(
-        spec=spec,
-        seed=seed,
-        copies=attack.total_copies,
-        success=attack.success,
-        elapsed_s=attack.elapsed_s,
-        bytes_moved=attack.disclosed_bytes,
-    )
 
 
 def _run_chunk(

@@ -17,6 +17,7 @@ connection already pays.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,6 +73,13 @@ class PerfMetrics:
         return self.transaction_rate * self.response_time_s
 
 
+def _owned(simulation: Optional[Simulation], server: str, **config):
+    """The caller's simulation, left open, or a fresh one the run closes."""
+    if simulation is not None:
+        return nullcontext(simulation)
+    return Simulation(SimulationConfig(server=server, **config))
+
+
 def run_scp_stress(
     level: ProtectionLevel = ProtectionLevel.NONE,
     transfers: int = 800,
@@ -88,40 +96,33 @@ def run_scp_stress(
     """
     if concurrent < 1:
         raise ValueError("concurrent must be at least 1")
-    sim = simulation or Simulation(
-        SimulationConfig(
-            server="openssh",
-            level=level,
-            seed=seed,
-            memory_mb=memory_mb,
-            key_bits=key_bits,
+    with _owned(simulation, "openssh", level=level, seed=seed,
+                memory_mb=memory_mb, key_bits=key_bits) as sim:
+        sim.start_server()
+        # The client holds ``concurrent`` live sessions for the whole run
+        # (the paper's "20 concurrent scp connections kept busy").  Pool
+        # warm-up happens before the clock starts, mirroring run_siege's
+        # ensure_pool; each finished transfer closes its session (scp is
+        # one file per connection) and a replacement opens immediately.
+        server = sim.server
+        server.set_concurrency(concurrent)
+        start_us = sim.kernel.clock.now_us
+        bytes_moved = 0
+        for index in range(transfers):
+            size = SCP_FILE_SIZES[index % len(SCP_FILE_SIZES)]
+            connection = server.connections[0]
+            connection.transfer(size, server.rng)
+            connection.close()
+            server.open_connection()
+            bytes_moved += size
+        elapsed_s = (sim.kernel.clock.now_us - start_us) / 1e6
+        sim.stop_server()
+        return PerfMetrics(
+            transactions=transfers,
+            concurrent=concurrent,
+            elapsed_s=elapsed_s,
+            bytes_moved=bytes_moved,
         )
-    )
-    sim.start_server()
-    # The client holds ``concurrent`` live sessions for the whole run
-    # (the paper's "20 concurrent scp connections kept busy").  Pool
-    # warm-up happens before the clock starts, mirroring run_siege's
-    # ensure_pool; each finished transfer closes its session (scp is
-    # one file per connection) and a replacement opens immediately.
-    server = sim.server
-    server.set_concurrency(concurrent)
-    start_us = sim.kernel.clock.now_us
-    bytes_moved = 0
-    for index in range(transfers):
-        size = SCP_FILE_SIZES[index % len(SCP_FILE_SIZES)]
-        connection = server.connections[0]
-        connection.transfer(size, server.rng)
-        connection.close()
-        server.open_connection()
-        bytes_moved += size
-    elapsed_s = (sim.kernel.clock.now_us - start_us) / 1e6
-    sim.stop_server()
-    return PerfMetrics(
-        transactions=transfers,
-        concurrent=concurrent,
-        elapsed_s=elapsed_s,
-        bytes_moved=bytes_moved,
-    )
 
 
 def run_siege(
@@ -134,30 +135,23 @@ def run_siege(
     simulation: Optional[Simulation] = None,
 ) -> PerfMetrics:
     """The Siege benchmark against an Apache server."""
-    sim = simulation or Simulation(
-        SimulationConfig(
-            server="apache",
-            level=level,
-            seed=seed,
-            memory_mb=memory_mb,
-            key_bits=key_bits,
+    with _owned(simulation, "apache", level=level, seed=seed,
+                memory_mb=memory_mb, key_bits=key_bits) as sim:
+        sim.start_server()
+        sim.server.ensure_pool(concurrent)
+        start_us = sim.kernel.clock.now_us
+        bytes_moved = 0
+        for _ in range(transactions):
+            sim.server.handle_request(SIEGE_RESPONSE_BYTES)
+            bytes_moved += SIEGE_RESPONSE_BYTES
+        elapsed_s = (sim.kernel.clock.now_us - start_us) / 1e6
+        sim.stop_server()
+        return PerfMetrics(
+            transactions=transactions,
+            concurrent=concurrent,
+            elapsed_s=elapsed_s,
+            bytes_moved=bytes_moved,
         )
-    )
-    sim.start_server()
-    sim.server.ensure_pool(concurrent)
-    start_us = sim.kernel.clock.now_us
-    bytes_moved = 0
-    for _ in range(transactions):
-        sim.server.handle_request(SIEGE_RESPONSE_BYTES)
-        bytes_moved += SIEGE_RESPONSE_BYTES
-    elapsed_s = (sim.kernel.clock.now_us - start_us) / 1e6
-    sim.stop_server()
-    return PerfMetrics(
-        transactions=transactions,
-        concurrent=concurrent,
-        elapsed_s=elapsed_s,
-        bytes_moved=bytes_moved,
-    )
 
 
 def overhead_ratio(before: PerfMetrics, after: PerfMetrics) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Union
 
@@ -100,7 +101,7 @@ class SimulationConfig:
         return "reiser" if self.level == ProtectionLevel.NONE else "ext2"
 
 
-class Simulation:
+class Simulation(AbstractContextManager):
     """A booted machine with one protected-or-not server installed."""
 
     def __init__(self, config: Optional[SimulationConfig] = None) -> None:
@@ -333,6 +334,13 @@ class Simulation:
                 self.kernel, self.key.n, self.key.e
             )
         return self._ntty_predict.run(self.attack_rng)
+
+    def close(self) -> None:
+        """Shut the machine down (:meth:`Kernel.shutdown`); idempotent."""
+        self.kernel.shutdown()
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -43,6 +43,10 @@ class SwapError(MemoryError_):
     """Swap device is full or an invalid swap slot was referenced."""
 
 
+class MachineShutdownError(MemoryError_):
+    """A store released by :meth:`repro.kernel.kernel.Kernel.shutdown` was used."""
+
+
 class KernelError(ReproError):
     """Base class for kernel subsystem errors."""
 

@@ -75,7 +75,7 @@ def run_schedule(
     plan_rng = DeterministicRandom(seed).fork_stream("fault-plan")
     plan = FaultPlan.random(plan_rng, num_faults=faults_per_schedule)
 
-    sim = Simulation(
+    with Simulation(
         SimulationConfig(
             server=server,
             level=level,
@@ -85,80 +85,80 @@ def run_schedule(
             taint=True,
             fault_plan=plan,
         )
-    )
-    injector = sim.faults
-    assert isinstance(injector, FaultInjector)
+    ) as sim:
+        injector = sim.faults
+        assert isinstance(injector, FaultInjector)
 
-    handled: List[str] = []
-    unhandled: List[str] = []
-    connections_ok = 0
-    rejected = 0
-    server_started = False
-    try:
-        sim.start_server()
-        server_started = True
-    except ConnectionRejectedError as exc:
-        rejected += 1
-        handled.append(f"start:{type(exc).__name__}")
-    except ReproError as exc:
-        # Startup failure is a graceful outcome too: the listener
-        # unwound itself (master exited, no half-initialised state).
-        handled.append(f"start:{type(exc).__name__}")
-    except Exception as exc:  # a wedged machine — the chaos finding
-        unhandled.append(f"start:{type(exc).__name__}: {exc}")
+        handled: List[str] = []
+        unhandled: List[str] = []
+        connections_ok = 0
+        rejected = 0
+        server_started = False
+        try:
+            sim.start_server()
+            server_started = True
+        except ConnectionRejectedError as exc:
+            rejected += 1
+            handled.append(f"start:{type(exc).__name__}")
+        except ReproError as exc:
+            # Startup failure is a graceful outcome too: the listener
+            # unwound itself (master exited, no half-initialised state).
+            handled.append(f"start:{type(exc).__name__}")
+        except Exception as exc:  # a wedged machine — the chaos finding
+            unhandled.append(f"start:{type(exc).__name__}: {exc}")
 
-    if server_started:
-        for conn_index in range(connections):
-            try:
-                if server == "openssh":
-                    sim.server.run_connection_cycle(24 * 1024)
-                else:
-                    sim.server.handle_request(24 * 1024)
-                connections_ok += 1
-            except ConnectionRejectedError as exc:
-                rejected += 1
-                handled.append(f"conn{conn_index}:{type(exc).__name__}")
-            except Exception as exc:
-                unhandled.append(
-                    f"conn{conn_index}:{type(exc).__name__}: {exc}"
-                )
-                break
-            if conn_index == connections // 2 and pressure_pages:
-                # Mid-workload swap pressure so the swap fault sites
-                # (and the mlock protection they test) actually tick.
+        if server_started:
+            for conn_index in range(connections):
                 try:
-                    sim.kernel.reclaim_pages(pressure_pages)
+                    if server == "openssh":
+                        sim.server.run_connection_cycle(24 * 1024)
+                    else:
+                        sim.server.handle_request(24 * 1024)
+                    connections_ok += 1
+                except ConnectionRejectedError as exc:
+                    rejected += 1
+                    handled.append(f"conn{conn_index}:{type(exc).__name__}")
                 except Exception as exc:
                     unhandled.append(
-                        f"pressure:{type(exc).__name__}: {exc}"
+                        f"conn{conn_index}:{type(exc).__name__}: {exc}"
                     )
                     break
+                if conn_index == connections // 2 and pressure_pages:
+                    # Mid-workload swap pressure so the swap fault sites
+                    # (and the mlock protection they test) actually tick.
+                    try:
+                        sim.kernel.reclaim_pages(pressure_pages)
+                    except Exception as exc:
+                        unhandled.append(
+                            f"pressure:{type(exc).__name__}: {exc}"
+                        )
+                        break
 
-    report = sim.taint_report()
-    kinds = report.diagnostics_by_kind()
-    leaks = {
-        "freed_tainted_frames": kinds.get("freed-tainted-frame", 0),
-        "swap_out_tainted": kinds.get("swap-out-tainted", 0),
-        "pagecache_residue": kinds.get("pagecache-residue", 0),
-        "free_region_tainted_bytes": report.by_region.get("free", 0),
-        "swap_device_hits": sum(report.swap_hits.values()),
-    }
-    cross = report.cross_check(sim.scan())
+        report = sim.taint_report()
+        kinds = report.diagnostics_by_kind()
+        leaks = {
+            "freed_tainted_frames": kinds.get("freed-tainted-frame", 0),
+            "swap_out_tainted": kinds.get("swap-out-tainted", 0),
+            "pagecache_residue": kinds.get("pagecache-residue", 0),
+            "free_region_tainted_bytes": report.by_region.get("free", 0),
+            "swap_device_hits": sum(report.swap_hits.values()),
+        }
+        cross = report.cross_check(sim.scan())
 
-    return {
-        "index": index,
-        "seed": seed,
-        "plan": plan.to_dict(),
-        "fired": injector.fired_events(),
-        "server_started": server_started,
-        "connections_ok": connections_ok,
-        "rejected": rejected,
-        "handled": handled,
-        "unhandled": unhandled,
-        "leaks": leaks,
-        "clean": all(leaks[key] == 0 for key in LEAK_KEYS),
-        "oracle_consistent": cross.consistent,
-    }
+        return {
+            "index": index,
+            "seed": seed,
+            "plan": plan.to_dict(),
+            "fired": injector.fired_events(),
+            "server_started": server_started,
+            "connections_ok": connections_ok,
+            "rejected": rejected,
+            "handled": handled,
+            "unhandled": unhandled,
+            "leaks": leaks,
+            "clean": all(leaks[key] == 0 for key in LEAK_KEYS),
+            "oracle_consistent": cross.consistent,
+        }
 
 
 def run_campaign(

@@ -126,7 +126,7 @@ def run_soak_schedule(
         generations,
         faults_per_generation,
     )
-    sim = Simulation(
+    with Simulation(
         SimulationConfig(
             server=server,
             level=level,
@@ -137,201 +137,201 @@ def run_soak_schedule(
             fault_plan=storm,
             incarnation_tags=True,
         )
-    )
-    injector = sim.faults
-    assert isinstance(injector, FaultInjector)
-    supervisor = Supervisor(
-        sim, rng=DeterministicRandom(seed).fork_stream("supervisor")
-    )
-    kernel = sim.kernel
-    keysan = sim.keysan
-    assert keysan is not None
+    ) as sim:
+        injector = sim.faults
+        assert isinstance(injector, FaultInjector)
+        supervisor = Supervisor(
+            sim, rng=DeterministicRandom(seed).fork_stream("supervisor")
+        )
+        kernel = sim.kernel
+        keysan = sim.keysan
+        assert keysan is not None
 
-    unhandled: List[str] = []
-    violations: List[str] = []
-    gen_records: List[Dict[str, object]] = []
-    free_baseline: Optional[int] = None
+        unhandled: List[str] = []
+        violations: List[str] = []
+        gen_records: List[Dict[str, object]] = []
+        free_baseline: Optional[int] = None
 
-    try:
-        supervisor.start_service()
-    except Exception as exc:  # pragma: no cover - a wedged machine
-        unhandled.append(f"boot:{type(exc).__name__}: {exc}")
+        try:
+            supervisor.start_service()
+        except Exception as exc:  # pragma: no cover - a wedged machine
+            unhandled.append(f"boot:{type(exc).__name__}: {exc}")
 
-    for generation in range(generations):
-        if unhandled:
-            break
-        record: Dict[str, object] = {
-            "generation": generation,
-            "incarnation": sim.incarnation,
-        }
-        # A machine degraded by a failed restart keeps probing: wait
-        # out the breaker cooldown on virtual time, one half-open
-        # attempt per probe.
-        probes = 0
-        while supervisor.detect_failure() and probes < MAX_PROBES_PER_GENERATION:
-            probes += 1
-            try:
-                if supervisor.probe():
-                    break
-            except Exception as exc:
-                unhandled.append(
-                    f"gen{generation}:probe:{type(exc).__name__}: {exc}"
-                )
+        for generation in range(generations):
+            if unhandled:
                 break
-        record["probes"] = probes
-
-        connections_ok = 0
-        rejected = 0
-        refused = 0
-        if not supervisor.detect_failure():
-            for conn_index in range(connections):
-                if not supervisor.admit():
-                    refused += 1
-                    continue
+            record: Dict[str, object] = {
+                "generation": generation,
+                "incarnation": sim.incarnation,
+            }
+            # A machine degraded by a failed restart keeps probing: wait
+            # out the breaker cooldown on virtual time, one half-open
+            # attempt per probe.
+            probes = 0
+            while supervisor.detect_failure() and probes < MAX_PROBES_PER_GENERATION:
+                probes += 1
                 try:
-                    if server == "openssh":
-                        sim.server.run_connection_cycle(24 * 1024)
-                    else:
-                        sim.server.handle_request(24 * 1024)
-                    connections_ok += 1
-                except ConnectionRejectedError:
-                    rejected += 1
-                except ReproError:
-                    rejected += 1
+                    if supervisor.probe():
+                        break
                 except Exception as exc:
                     unhandled.append(
-                        f"gen{generation}:conn{conn_index}:"
-                        f"{type(exc).__name__}: {exc}"
+                        f"gen{generation}:probe:{type(exc).__name__}: {exc}"
                     )
                     break
-                if conn_index == connections // 2 and pressure_pages:
-                    # Mid-generation swap pressure so the swap fault
-                    # sites (and slot accounting under torn writes)
-                    # actually tick.
+            record["probes"] = probes
+
+            connections_ok = 0
+            rejected = 0
+            refused = 0
+            if not supervisor.detect_failure():
+                for conn_index in range(connections):
+                    if not supervisor.admit():
+                        refused += 1
+                        continue
                     try:
-                        kernel.reclaim_pages(pressure_pages)
+                        if server == "openssh":
+                            sim.server.run_connection_cycle(24 * 1024)
+                        else:
+                            sim.server.handle_request(24 * 1024)
+                        connections_ok += 1
+                    except ConnectionRejectedError:
+                        rejected += 1
+                    except ReproError:
+                        rejected += 1
                     except Exception as exc:
                         unhandled.append(
-                            f"gen{generation}:pressure:"
+                            f"gen{generation}:conn{conn_index}:"
                             f"{type(exc).__name__}: {exc}"
                         )
                         break
-        record["connections_ok"] = connections_ok
-        record["rejected"] = rejected
-        record["refused"] = refused
-        if unhandled:
-            gen_records.append(record)
-            break
+                    if conn_index == connections // 2 and pressure_pages:
+                        # Mid-generation swap pressure so the swap fault
+                        # sites (and slot accounting under torn writes)
+                        # actually tick.
+                        try:
+                            kernel.reclaim_pages(pressure_pages)
+                        except Exception as exc:
+                            unhandled.append(
+                                f"gen{generation}:pressure:"
+                                f"{type(exc).__name__}: {exc}"
+                            )
+                            break
+            record["connections_ok"] = connections_ok
+            record["rejected"] = rejected
+            record["refused"] = refused
+            if unhandled:
+                gen_records.append(record)
+                break
 
-        # Crash the whole service tree (kill -9, nothing cleans up),
-        # audit the corpse, then bring up the next incarnation under
-        # the restart policy.  A machine that never recovered from a
-        # degraded state has nothing to crash — it just re-checks the
-        # steady-state invariants and tries again next generation.
-        try:
-            if not supervisor.detect_failure():
-                record["killed_pids"] = supervisor.crash_service()
-                audit = supervisor.audit_corpse()
-                record["audit"] = audit.to_dict()
-                restart = supervisor.restart_service()
-                record["restart"] = restart
-            else:
-                record["skipped"] = True
-        except Exception as exc:
-            unhandled.append(
-                f"gen{generation}:recover:{type(exc).__name__}: {exc}"
+            # Crash the whole service tree (kill -9, nothing cleans up),
+            # audit the corpse, then bring up the next incarnation under
+            # the restart policy.  A machine that never recovered from a
+            # degraded state has nothing to crash — it just re-checks the
+            # steady-state invariants and tries again next generation.
+            try:
+                if not supervisor.detect_failure():
+                    record["killed_pids"] = supervisor.crash_service()
+                    audit = supervisor.audit_corpse()
+                    record["audit"] = audit.to_dict()
+                    restart = supervisor.restart_service()
+                    record["restart"] = restart
+                else:
+                    record["skipped"] = True
+            except Exception as exc:
+                unhandled.append(
+                    f"gen{generation}:recover:{type(exc).__name__}: {exc}"
+                )
+                gen_records.append(record)
+                break
+
+            # ------------------------------------------------------------------
+            # steady-state invariants (must hold at EVERY protection level)
+            # ------------------------------------------------------------------
+            invariants: Dict[str, object] = {}
+            try:
+                kernel.swap.check_consistency()
+                invariants["swap_consistent"] = True
+            except SwapError as exc:
+                invariants["swap_consistent"] = False
+                violations.append(f"gen{generation}:swap:{exc}")
+            try:
+                kernel.buddy.check_invariants()
+                invariants["buddy_consistent"] = True
+            except AllocatorStateError as exc:
+                invariants["buddy_consistent"] = False
+                violations.append(f"gen{generation}:buddy:{exc}")
+            free_frames = kernel.buddy.free_frames()
+            invariants["free_frames"] = free_frames
+            if free_baseline is None:
+                free_baseline = free_frames
+            elif free_baseline - free_frames > FRAME_LEAK_SLACK:
+                violations.append(
+                    f"gen{generation}:frames:free fell {free_baseline - free_frames} "
+                    f"frames below the first-generation baseline"
+                )
+            invariants["swap_free_slots"] = kernel.swap.free_slots()
+
+            # ------------------------------------------------------------------
+            # leak metrics (zero at INTEGRATED, the teeth at NONE)
+            # ------------------------------------------------------------------
+            live_prefix = sim.incarnation_prefix(sim.incarnation)
+            live_bytes = sum(
+                sum(tags.values())
+                for tags in keysan.census_by_prefix(live_prefix).values()
             )
+            total_tainted = keysan.shadow.total_tainted()
+            cross_bytes = total_tainted - live_bytes
+            audit_dict = record.get("audit")
+            leaks = {
+                "cross_incarnation_taint_bytes": cross_bytes,
+                "audit_taint_bytes": (
+                    audit_dict["taint_bytes"] if audit_dict else 0
+                ),
+                "audit_ram_hits": audit_dict["ram_hits"] if audit_dict else 0,
+                "audit_swap_hits": audit_dict["swap_hits"] if audit_dict else 0,
+                "audit_freed_frame_hits": (
+                    audit_dict["freed_frame_hits"] if audit_dict else 0
+                ),
+            }
+            invariants["shadow_census_matches_live"] = cross_bytes == 0
+            record["invariants"] = invariants
+            record["leaks"] = leaks
+            record["clean"] = all(count == 0 for count in leaks.values())
             gen_records.append(record)
-            break
 
-        # ------------------------------------------------------------------
-        # steady-state invariants (must hold at EVERY protection level)
-        # ------------------------------------------------------------------
-        invariants: Dict[str, object] = {}
-        try:
-            kernel.swap.check_consistency()
-            invariants["swap_consistent"] = True
-        except SwapError as exc:
-            invariants["swap_consistent"] = False
-            violations.append(f"gen{generation}:swap:{exc}")
-        try:
-            kernel.buddy.check_invariants()
-            invariants["buddy_consistent"] = True
-        except AllocatorStateError as exc:
-            invariants["buddy_consistent"] = False
-            violations.append(f"gen{generation}:buddy:{exc}")
-        free_frames = kernel.buddy.free_frames()
-        invariants["free_frames"] = free_frames
-        if free_baseline is None:
-            free_baseline = free_frames
-        elif free_baseline - free_frames > FRAME_LEAK_SLACK:
-            violations.append(
-                f"gen{generation}:frames:free fell {free_baseline - free_frames} "
-                f"frames below the first-generation baseline"
-            )
-        invariants["swap_free_slots"] = kernel.swap.free_slots()
-
-        # ------------------------------------------------------------------
-        # leak metrics (zero at INTEGRATED, the teeth at NONE)
-        # ------------------------------------------------------------------
-        live_prefix = sim.incarnation_prefix(sim.incarnation)
-        live_bytes = sum(
-            sum(tags.values())
-            for tags in keysan.census_by_prefix(live_prefix).values()
-        )
-        total_tainted = keysan.shadow.total_tainted()
-        cross_bytes = total_tainted - live_bytes
-        audit_dict = record.get("audit")
-        leaks = {
-            "cross_incarnation_taint_bytes": cross_bytes,
-            "audit_taint_bytes": (
-                audit_dict["taint_bytes"] if audit_dict else 0
-            ),
-            "audit_ram_hits": audit_dict["ram_hits"] if audit_dict else 0,
-            "audit_swap_hits": audit_dict["swap_hits"] if audit_dict else 0,
-            "audit_freed_frame_hits": (
-                audit_dict["freed_frame_hits"] if audit_dict else 0
-            ),
-        }
-        invariants["shadow_census_matches_live"] = cross_bytes == 0
-        record["invariants"] = invariants
-        record["leaks"] = leaks
-        record["clean"] = all(count == 0 for count in leaks.values())
-        gen_records.append(record)
-
-    restarts = [
-        record["restart"]
-        for record in gen_records
-        if isinstance(record.get("restart"), dict)
-    ]
-    latencies = [r["latency_us"] for r in restarts]
-    return {
-        "index": index,
-        "seed": seed,
-        "storm": storm.to_dict(),
-        "fired": injector.fired_events(),
-        "generations": gen_records,
-        "unhandled": unhandled,
-        "invariant_violations": violations,
-        "restarts": supervisor.restarts,
-        "refused_connections": supervisor.refused_connections,
-        "degraded_generations": sum(
-            1
+        restarts = [
+            record["restart"]
             for record in gen_records
-            if record.get("skipped") or (
-                isinstance(record.get("restart"), dict)
-                and not record["restart"]["started"]
-            )
-        ),
-        "restart_latency_us": {
-            "count": len(latencies),
-            "total": round(sum(latencies), 3),
-            "max": round(max(latencies), 3) if latencies else 0.0,
-        },
-        "clean": bool(gen_records)
-        and all(record.get("clean", False) for record in gen_records),
-        "supervisor_events": supervisor.events,
-    }
+            if isinstance(record.get("restart"), dict)
+        ]
+        latencies = [r["latency_us"] for r in restarts]
+        return {
+            "index": index,
+            "seed": seed,
+            "storm": storm.to_dict(),
+            "fired": injector.fired_events(),
+            "generations": gen_records,
+            "unhandled": unhandled,
+            "invariant_violations": violations,
+            "restarts": supervisor.restarts,
+            "refused_connections": supervisor.refused_connections,
+            "degraded_generations": sum(
+                1
+                for record in gen_records
+                if record.get("skipped") or (
+                    isinstance(record.get("restart"), dict)
+                    and not record["restart"]["started"]
+                )
+            ),
+            "restart_latency_us": {
+                "count": len(latencies),
+                "total": round(sum(latencies), 3),
+                "max": round(max(latencies), 3) if latencies else 0.0,
+            },
+            "clean": bool(gen_records)
+            and all(record.get("clean", False) for record in gen_records),
+            "supervisor_events": supervisor.events,
+        }
 
 
 def _soak_schedule_worker(args: tuple) -> tuple:

@@ -393,6 +393,17 @@ class Kernel:
                 )
             )
 
+    def shutdown(self) -> None:
+        """End of life (idempotent): unhook KeySan and the fault injector;
+        free RAM, swap, page descriptors and KeySan's shadow now, not at GC."""
+        if self.keysan is not None:
+            self.keysan.shadow.release()
+            self.keysan.detach()
+        if self.faults is not None:
+            self.faults.detach(self)
+        for part in (self.physmem, self.swap, self.buddy):
+            part.release()
+
     def drain_exit_records(self) -> List[ExitRecord]:
         """Return and clear the accumulated post-mortem exit records."""
         records, self.exit_records = self.exit_records, []

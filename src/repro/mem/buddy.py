@@ -26,7 +26,7 @@ from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Se
 
 from repro.errors import AllocatorStateError, OutOfMemoryError
 from repro.mem.page import Page, PageFlag
-from repro.mem.physmem import PhysicalMemory
+from repro.mem.physmem import PhysicalMemory, Releasable
 
 #: Largest block order, as in the stock kernel (2**10 pages = 4 MB).
 MAX_ORDER = 10
@@ -99,8 +99,9 @@ class ChunkedFreeList:
         return item
 
 
-class BuddyAllocator:
+class BuddyAllocator(Releasable):
     """Power-of-two block allocator over a :class:`PhysicalMemory`."""
+    RELEASED = ("pages",)
 
     def __init__(
         self,

@@ -132,24 +132,26 @@ def _zero_run_end(data: Buffer, pos: int, end: int, is_view: bool) -> int:
     """First offset ``>= pos`` whose byte is nonzero (``end`` if none),
     assuming nothing: verified with galloping C-speed block compares.
 
-    Each probe slices a bytes chunk (memcpy) and compares it against a
-    cached zero block (memcmp) — about 6 GB/s end to end, versus the
-    ~0.4 GB/s of a ``memoryview`` equality compare.
+    Each probe memcmps a cached zero block against the buffer in place
+    (``startswith``; a view is copied to bytes first).  A nonzero block of
+    at most ``ZERO_GAP`` bytes gives its first nonzero byte by its lowest set bit.
     """
     step = ZERO_GAP
     while pos < end:
         n = min(step, end - pos)
-        chunk = data[pos : pos + n]
-        if is_view:
-            chunk = bytes(chunk)
-        if chunk == _zero_block(n):
+        if is_view:  # memoryview has no startswith and compares ~8x slower
+            zero = bytes(data[pos : pos + n]) == _zero_block(n)
+        else:  # compares in place, no slice copy
+            zero = data.startswith(_zero_block(n), pos)
+        if zero:
             pos += n
             if step < _MAX_GALLOP:
                 step <<= 1
             continue
-        if n == 1:
-            return pos
-        step = max(1, n // 2)
+        if n <= ZERO_GAP:
+            value = int.from_bytes(data[pos : pos + n], "little")
+            return pos + ((value & -value).bit_length() - 1) // 8
+        step = n // 2
     return end
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Sequence, Tuple
 
-from repro.errors import BadAddressError
+from repro.errors import BadAddressError, MachineShutdownError
 from repro.mem.bytesearch import (
     find_all_occurrences,
     find_all_sparse,
@@ -27,7 +27,22 @@ from repro.mem.bytesearch import (
 PAGE_SIZE = 4096
 
 
-class PhysicalMemory:
+class Releasable:
+    """Owner of frame-sized stores, named in ``RELEASED``: :meth:`release`
+    drops them, and a later read raises instead of returning empty data."""
+
+    RELEASED: Tuple[str, ...] = ()
+
+    def release(self) -> None:
+        for name in self.RELEASED:
+            self.__dict__.pop(name, None)
+
+    def __getattr__(self, name: str):
+        error = MachineShutdownError if name in self.RELEASED else AttributeError
+        raise error(f"{type(self).__name__}.{name}")
+
+
+class PhysicalMemory(Releasable):
     """Flat simulated RAM of ``num_frames`` page frames.
 
     Addresses are plain integers in ``[0, size)``.  The kernel uses an
@@ -35,6 +50,7 @@ class PhysicalMemory:
     addresses, as they effectively do for lowmem on the 32-bit kernels
     the paper targeted.
     """
+    RELEASED = ("_data", "_frame_gen")
 
     def __init__(self, num_frames: int, page_size: int = PAGE_SIZE) -> None:
         if num_frames <= 0:

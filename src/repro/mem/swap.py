@@ -20,11 +20,12 @@ from typing import Dict, List
 
 from repro.errors import SwapError
 from repro.mem.bytesearch import find_all_sparse
-from repro.mem.physmem import PAGE_SIZE
+from repro.mem.physmem import PAGE_SIZE, Releasable
 
 
-class SwapDevice:
+class SwapDevice(Releasable):
     """Fixed-size array of page-sized swap slots on a "disk"."""
+    RELEASED = ("_store",)
 
     def __init__(self, num_slots: int, page_size: int = PAGE_SIZE) -> None:
         if num_slots <= 0:

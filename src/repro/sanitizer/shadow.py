@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Pattern, Tuple
 
 from repro.mem.bytesearch import first_nonzero
+from repro.mem.physmem import Releasable
 
 #: Highest internable call-site id (16-bit origin shadow entries).
 MAX_ORIGIN_ID = 0xFFFF
@@ -69,15 +70,16 @@ class TaintRun:
         return self.start + self.length
 
 
-class ShadowMap:
+class ShadowMap(Releasable):
     """Per-byte taint state for a flat address space of ``size`` bytes."""
+    RELEASED = ("_tags", "_origins")
 
     def __init__(self, size: int) -> None:
         if size <= 0:
             raise ValueError("shadow size must be positive")
         self.size = size
         self._tags = bytearray(size)
-        self._origins = array("H", bytes(2 * size))
+        self._origins = _H_ZERO * size
 
     # ------------------------------------------------------------------
     # mutation
@@ -205,7 +207,8 @@ class ShadowMap:
             pos = start + length
 
     def total_tainted(self) -> int:
-        return self.size - self._tags.count(0)
+        chunks = self.iter_tainted_chunks()  # gallops over clean memory
+        return sum(self.count_in(start, length) for start, length in chunks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ShadowMap(size={self.size}, tainted={self.total_tainted()})"

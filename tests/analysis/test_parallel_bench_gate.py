@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 spec = importlib.util.spec_from_file_location(
@@ -59,7 +61,38 @@ class TestBudgetMath:
 
 class TestSpeedupPolicy:
     def test_minimum_speedup_is_two(self):
-        assert bench.MIN_SPEEDUP == 2.0
+        """At CI's 4 workers on a 4-core runner the efficiency bound is
+        the old fixed 2.0x bound."""
+        assert bench.MIN_EFFICIENCY * min(4, 4) == 2.0
+
+    @pytest.mark.parametrize(
+        "workers, cores, speedup, passes",
+        [
+            (2, 2, 1.67, True),    # the 2-core measurement the old gate failed
+            (2, 2, 0.95, False),
+            (4, 2, 1.05, True),    # only 2 of the 4 workers can run at once
+            (4, 4, 1.99, False),   # CI's shape keeps the old 2.0x bound
+            (4, 4, 2.0, True),
+            (4, 1, 0.5, True),     # --require-speedup on one core
+        ],
+    )
+    def test_gate_is_efficiency_over_usable_cores(
+        self, monkeypatch, tmp_path, workers, cores, speedup, passes
+    ):
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(bench, "hot_loop_benchmarks", lambda *_: [])
+        monkeypatch.setattr(
+            bench, "sweep_speedup", lambda args: {"speedup": speedup}
+        )
+        out = tmp_path / "bench.json"
+        status = bench.main(
+            ["--workers", str(workers), "--require-speedup", "--out", str(out)]
+        )
+        assert status == (0 if passes else 1)
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        usable = min(workers, cores)
+        assert payload["min_speedup"] == 0.5 * usable
+        assert payload["efficiency"] == round(speedup / usable, 3)
 
     def test_output_path_is_repo_root(self):
         """Satellite: the trajectory tooling globs root BENCH_*.json —
@@ -83,7 +116,12 @@ class TestCommittedBaseline:
         )
         assert payload["benchmark"] == "parallel_sweep"
         assert payload["cells_identical"] is True
-        assert payload["min_speedup"] == 2.0
+        if "efficiency" in payload:
+            usable = min(payload["workers"], payload["cpu_count"])
+            assert payload["min_speedup"] == bench.MIN_EFFICIENCY * usable
+            assert payload["efficiency"] == round(payload["speedup"] / usable, 3)
+        else:  # recorded before the efficiency gate: fixed 2.0x bound
+            assert payload["min_speedup"] == 2.0
         # On a multi-core writer the assertion must be armed and met;
         # a single-core writer records the honest ratio unasserted.
         if payload["speedup_asserted"]:

@@ -143,3 +143,84 @@ class TestNoCopyRegression:
         strided = memoryview(backing)[::2]
         expected = find_all_occurrences(bytes(strided), b"\x04\x06")
         assert find_all_occurrences(strided, b"\x04\x06") == expected
+
+
+# ----------------------------------------------------------------------
+# page-edge offsets against brute force
+# ----------------------------------------------------------------------
+EDGE_SIZES = (3 * ZERO_GAP + 5, 4 * ZERO_GAP, 70_000)
+
+
+def _edge_offsets(size):
+    return (0, ZERO_GAP - 1, ZERO_GAP, ZERO_GAP + 1, size - 1)
+
+
+def _edge_buffers(size):
+    """Every subset of the edge offsets set nonzero."""
+    offsets = _edge_offsets(size)
+    for mask in range(1 << len(offsets)):
+        buf = bytearray(size)
+        for bit, offset in enumerate(offsets):
+            if mask >> bit & 1:
+                buf[offset] = 0x80 >> bit
+        yield bytes(buf)
+
+
+def _as_kinds(data):
+    """The same bytes as bytes, bytearray and a partial memoryview."""
+    padded = bytearray(7) + bytearray(data) + bytearray(9)
+    return {
+        "bytes": data,
+        "bytearray": bytearray(data),
+        "view": memoryview(padded)[7 : 7 + len(data)],
+    }
+
+
+def _brute_first_nonzero(data, start):
+    return next((i for i in range(start, len(data)) if data[i]), len(data))
+
+
+def _brute_intervals(data, gap):
+    """Split on every zero run of at least ``gap`` bytes."""
+    intervals, lo, i, n = [], 0, 0, len(data)
+    while i < n:
+        if data[i]:
+            i += 1
+            continue
+        j = i
+        while j < n and not data[j]:
+            j += 1
+        if j - i >= gap:
+            if i > lo:
+                intervals.append((lo, i))
+            lo = j
+        i = j
+    if lo < n:
+        intervals.append((lo, n))
+    return intervals
+
+
+class TestEdgeOffsetsAgainstBruteForce:
+    @pytest.mark.parametrize("size", EDGE_SIZES)
+    def test_first_nonzero(self, size):
+        starts = sorted({0, 1, ZERO_GAP - 1, ZERO_GAP, ZERO_GAP + 1, size - 1, size})
+        for data in _edge_buffers(size):
+            expected = {start: _brute_first_nonzero(data, start) for start in starts}
+            for kind, haystack in _as_kinds(data).items():
+                for start in starts:
+                    assert first_nonzero(haystack, start) == expected[start], (kind, start)
+
+    @pytest.mark.parametrize("size", EDGE_SIZES)
+    def test_nonzero_intervals(self, size):
+        for data in _edge_buffers(size):
+            for gap in (1, ZERO_GAP):
+                expected = _brute_intervals(data, gap)
+                for kind, haystack in _as_kinds(data).items():
+                    assert nonzero_intervals(haystack, gap=gap) == expected, (kind, gap)
+
+    def test_bounded_search_stops_at_end(self):
+        data = bytearray(3 * ZERO_GAP)
+        data[ZERO_GAP + 1] = 1
+        for haystack in _as_kinds(bytes(data)).values():
+            assert first_nonzero(haystack, 0, ZERO_GAP + 1) == ZERO_GAP + 1
+            assert first_nonzero(haystack, 0, ZERO_GAP + 2) == ZERO_GAP + 1

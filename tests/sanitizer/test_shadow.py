@@ -144,3 +144,33 @@ def test_tag_counts_edges():
     assert shadow.tag_counts(0, _SIZE) == {MAX_TAG_ID: 6, 1: 2}
     with pytest.raises(ValueError):
         shadow.tag_counts(_SIZE - 1, 2)
+
+
+@pytest.mark.parametrize("size", (3 * 4096 + 5, 4 * 4096))
+def test_total_tainted_at_page_edges_matches_brute_force(size):
+    offsets = (0, 4095, 4096, 4097, size - 1)
+    for mask in range(1 << len(offsets)):
+        shadow = ShadowMap(size)
+        for bit, offset in enumerate(offsets):
+            if mask >> bit & 1:
+                shadow.set_range(offset, 1, tag_id=bit + 1, origin_id=bit)
+        brute = sum(1 for addr in range(size) if shadow.tag_at(addr))
+        assert shadow.total_tainted() == brute == bin(mask).count("1")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    spans=st.lists(
+        st.tuples(st.integers(0, 5 * 4096 - 1), st.integers(1, 9000)), max_size=6
+    )
+)
+def test_total_tainted_matches_brute_force(spans):
+    size = 5 * 4096
+    shadow = ShadowMap(size)
+    for index, (addr, length) in enumerate(spans):
+        length = min(length, size - addr)
+        if index % 3 == 2:
+            shadow.clear_range(addr, length)
+        else:
+            shadow.set_range(addr, length, tag_id=index + 1, origin_id=index)
+    assert shadow.total_tainted() == size - bytes(shadow._tags).count(0)
